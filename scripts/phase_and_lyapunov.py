@@ -26,7 +26,7 @@ def main(out_dir="results"):
     out.mkdir(parents=True, exist_ok=True)
     for name, p in CASES:
         rec = iterate(p, START, 600, 500)
-        rows = [(rec.first_index + i, s.x, s.y) for i, s in enumerate(rec.tail)]
+        rows = rec.rows()
         write_csv(out / f"phase_{name}.csv", ["n", "x", "y"], rows)
         svg = scatter_svg(
             [r[1] for r in rows], [r[2] for r in rows],

@@ -10,9 +10,8 @@ from pathlib import Path
 
 from ecokmap import ModelParams, State, SweepSpec, bifurcation_sweep
 from ecokmap.csvio import write_csv
-from ecokmap.orbit import Settled
 from ecokmap.svgplot import scatter_svg
-from ecokmap.sweep import outcome_label
+from ecokmap.sweep import bifurcation_table
 
 BASE = ModelParams(r1=3.0, r2=3.0, c1=1.8, c2=0.1, c3=0.6, c4=2.5)
 START = State(0.2, 0.1)
@@ -27,17 +26,9 @@ def main(out_dir="results"):
             n_points=241, s0=START, n_transient=400, n_record=100, n_lyap=20_000,
         )
         res = bifurcation_sweep(spec)
-        rows = []
-        for pt in res.points:
-            label = (
-                pt.orbit.outcome.period
-                if isinstance(pt.orbit.outcome, Settled)
-                else outcome_label(pt.orbit.outcome)
-            )
-            for i, s in enumerate(pt.orbit.tail):
-                rows.append((pt.value, pt.orbit.first_index + i, s.x, s.y, label, pt.lambda1))
+        header, rows = bifurcation_table(res)
         tag = f"c2_{c2:.1f}".replace(".", "p")
-        write_csv(out / f"regular_{tag}.csv", ["param", "n", "x", "y", "period", "lambda1"], rows)
+        write_csv(out / f"regular_{tag}.csv", header, rows)
         svg = scatter_svg(
             [r[0] for r in rows], [r[3] for r in rows],
             xlabel="r2", ylabel="y",

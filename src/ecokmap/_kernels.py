@@ -4,12 +4,12 @@ These are the only hot paths in the package; each is a scalar kernel over
 plain floats so that one grid point of a sweep is a pure function whose
 floating-point operation order never depends on batch size or worker
 count.  With numba available the kernels are JIT-compiled (nogil, so
-thread pools get real parallelism); without it they run as plain Python,
-slower but bit-identical in result.
+thread pools get real parallelism); without it they run as plain Python.
+The backends are not promised to agree bitwise (compiled np.log is libm's).
 
-The step expression here must stay textually identical to dynamics.step —
-orbit records, Lyapunov orbits and the reference implementation are
-required to agree bitwise.
+The step and Jacobian expressions here repeat dynamics.step and
+dynamics.jacobian; tests/test_lyapunov.py::TestKernelFormulas and
+tests/test_orbit.py::TestDeterminism pin them bitwise against those.
 """
 from __future__ import annotations
 
@@ -22,14 +22,8 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba
     HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
+    def njit(**kwargs):
+        return lambda fn: fn
 
 
 # Stand-in for log(0) when a tangent vector collapses exactly; roughly

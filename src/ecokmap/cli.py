@@ -17,9 +17,16 @@ from .csvio import write_csv
 from .dynamics import NonFiniteStepError
 from .equilibria import stability_report
 from .lyapunov import EscapedTooEarly, lambda_series, lyapunov_spectrum
-from .orbit import PERIOD_TOL, Settled, iterate
+from .orbit import PERIOD_TOL, iterate
 from .svgplot import heatmap_svg, line_svg, scatter_svg
-from .sweep import ChaosGridSpec, SweepSpec, bifurcation_sweep, chaos_grid, outcome_label
+from .sweep import (
+    ChaosGridSpec,
+    SweepSpec,
+    bifurcation_sweep,
+    bifurcation_table,
+    chaos_grid,
+    outcome_label,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -79,11 +86,6 @@ def _pick(override, fallback):
     return fallback if override is None else override
 
 
-def _orbit_rows(rec):
-    for i, s in enumerate(rec.tail):
-        yield rec.first_index + i, s.x, s.y
-
-
 def _write(out_dir: Path, name: str, text: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -105,7 +107,7 @@ def cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     record = _pick(args.steps, cfg.budgets.record)
     tol = _pick(args.seed_tolerance, PERIOD_TOL)
     rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
-    rows = list(_orbit_rows(rec))
+    rows = rec.rows()
     _write_rows(out_dir, "orbit.csv", ["n", "x", "y"], rows)
     print(f"outcome: {outcome_label(rec.outcome)}")
     if args.plot:
@@ -141,14 +143,8 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
     result = bifurcation_sweep(spec, workers=args.workers)
-    rows = []
-    for pt in result.points:
-        label = pt.orbit.outcome.period if isinstance(pt.orbit.outcome, Settled) else (
-            outcome_label(pt.orbit.outcome)
-        )
-        for n, x, y in _orbit_rows(pt.orbit):
-            rows.append((pt.value, n, x, y, label, pt.lambda1))
-    _write_rows(out_dir, "bifurcation.csv", ["param", "n", "x", "y", "period", "lambda1"], rows)
+    header, rows = bifurcation_table(result)
+    _write_rows(out_dir, "bifurcation.csv", header, rows)
     if args.plot:
         svg = scatter_svg(
             [r[0] for r in rows],
@@ -226,7 +222,7 @@ def cmd_phase(cfg: RunConfig, args, out_dir: Path) -> int:
     record = _pick(args.steps, PHASE_RECORD)
     tol = _pick(args.seed_tolerance, PERIOD_TOL)
     rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
-    rows = list(_orbit_rows(rec))
+    rows = rec.rows()
     _write_rows(out_dir, "phase.csv", ["n", "x", "y"], rows)
     print(f"outcome: {outcome_label(rec.outcome)}")
     if args.plot:

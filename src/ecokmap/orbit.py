@@ -8,6 +8,7 @@ at the step where it was detected and never stores a non-finite state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "OrbitRecord",
     "iterate",
     "detect_period",
+    "check_period_tol",
     "ESCAPE_THRESHOLD",
     "DEFAULT_TRANSIENT",
     "DEFAULT_RECORD",
@@ -55,42 +57,56 @@ class Escaped:
 Outcome = Settled | Aperiodic | Escaped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitRecord:
     """Post-transient window of one orbit.
 
-    `tail` holds the states at global iteration indices
-    transient_len + 1 ... transient_len + len(tail); for an escaped orbit
-    it is truncated at the last finite pre-escape state (and may be empty
-    if the orbit escaped during the transient).
+    `tail` is a read-only float64 array of shape (n, 2) holding the states
+    (x, y) at global iteration indices transient_len + 1 ... transient_len + n;
+    for an escaped orbit it is truncated at the last finite pre-escape
+    state (and has shape (0, 2) if the orbit escaped during the transient).
+    The constructor copies the tail it is given, so the record owns its
+    data.  Records compare equal when every field matches and the tails
+    are bitwise identical.
     """
 
     initial: State
     transient_len: int
-    tail: tuple[State, ...]
+    tail: np.ndarray
     outcome: Outcome
+
+    def __post_init__(self):
+        tail = np.array(self.tail, dtype=np.float64)
+        if tail.ndim != 2 or tail.shape[1] != 2:
+            raise ValueError(f"tail must have shape (n, 2), got {tail.shape}")
+        if not np.isfinite(tail).all():
+            raise ValueError("tail states must be finite")
+        tail.flags.writeable = False
+        object.__setattr__(self, "tail", tail)
+
+    def _key(self):
+        return self.initial, self.transient_len, self.outcome, self.tail.shape, self.tail.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, OrbitRecord) else NotImplemented
+
+    __hash__ = None
 
     @property
     def first_index(self) -> int:
         """Global iteration index of tail[0]."""
         return self.transient_len + 1
 
-    def tail_array(self) -> np.ndarray:
-        """Tail as a (len(tail), 2) float array."""
-        a = np.empty((len(self.tail), 2))
-        for i, s in enumerate(self.tail):
-            a[i, 0] = s.x
-            a[i, 1] = s.y
-        return a
+    def rows(self) -> list[tuple[int, float, float]]:
+        """(n, x, y) per tail state, n the global iteration index, as Python numbers."""
+        xs, ys = self.tail.T.tolist()
+        return list(zip(range(self.first_index, self.first_index + len(xs)), xs, ys))
 
 
-def _as_array(tail) -> np.ndarray:
-    if isinstance(tail, np.ndarray):
-        a = np.asarray(tail, dtype=float)
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"tail array must have shape (n, 2), got {a.shape}")
-        return a
-    return np.array([(s.x, s.y) for s in tail], dtype=float).reshape(-1, 2)
+def check_period_tol(period_tol: float) -> None:
+    """Reject a period tolerance that is negative, infinite or NaN."""
+    if not 0.0 <= period_tol < math.inf:
+        raise ValueError(f"period_tol must be finite and >= 0, got {period_tol!r}")
 
 
 def detect_period(tail, max_period: int = MAX_PERIOD, period_tol: float = PERIOD_TOL) -> Outcome:
@@ -99,14 +115,17 @@ def detect_period(tail, max_period: int = MAX_PERIOD, period_tol: float = PERIOD
     The tail is k-periodic when for every index i,
     ||tail[i] - tail[i+k]||_inf <= period_tol * (1 + ||tail[i]||_inf).
     Candidates are tried in increasing order, so the returned period is
-    minimal.  Accepts a sequence of State or an (n, 2) array.
+    minimal.  Accepts an (n, 2) array-like.
     """
-    a = _as_array(tail)
+    a = np.asarray(tail, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"tail array must have shape (n, 2), got {a.shape}")
     n = len(a)
     if n == 0:
         raise ValueError("tail must be non-empty")
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
+    check_period_tol(period_tol)
     for k in range(1, min(max_period, n - 1) + 1):
         diffs = np.abs(a[:-k] - a[k:]).max(axis=1)
         scale = 1.0 + np.abs(a[:-k]).max(axis=1)
@@ -132,15 +151,11 @@ def iterate(
     """
     if n_transient < 0 or n_total <= n_transient:
         raise ValueError(f"need n_total > n_transient >= 0, got {n_total}, {n_transient}")
+    check_period_tol(period_tol)
     out = np.empty((n_total - n_transient, 2))
     n_rec, escaped, at_step = _kernels.orbit_kernel(
         p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_total, n_transient, ESCAPE_THRESHOLD, out
     )
-    tail = tuple(State(out[i, 0], out[i, 1]) for i in range(n_rec))
-    if escaped:
-        outcome: Outcome = Escaped(at_step)
-    elif n_rec > 0:
-        outcome = detect_period(out[:n_rec], max_period, period_tol)
-    else:
-        outcome = Aperiodic()
-    return OrbitRecord(initial=s0, transient_len=n_transient, tail=tail, outcome=outcome)
+    # Without escape all n_total - n_transient >= 1 states were recorded.
+    outcome = Escaped(at_step) if escaped else detect_period(out[:n_rec], max_period, period_tol)
+    return OrbitRecord(initial=s0, transient_len=n_transient, tail=out[:n_rec], outcome=outcome)

@@ -4,7 +4,8 @@ Each grid point is an independent pure computation (orbit tail + period
 label + largest Lyapunov exponent), so points may be evaluated on any
 number of worker threads; results are assembled by grid index and are
 bitwise identical regardless of worker count.  The kernels release the
-GIL under numba, so threads give real parallelism.
+GIL only when compiled by numba; on the pure-Python backend the GIL
+serialises the threads.
 """
 from __future__ import annotations
 
@@ -22,10 +23,10 @@ from .orbit import (
     DEFAULT_TRANSIENT,
     MAX_PERIOD,
     PERIOD_TOL,
-    Aperiodic,
     Escaped,
     OrbitRecord,
     Settled,
+    check_period_tol,
     iterate,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "bifurcation_sweep",
     "chaos_grid",
     "outcome_label",
+    "bifurcation_table",
 ]
 
 SWEEPABLE_PARAMETERS = ("r1", "r2", "c1", "c2", "c3", "c4")
@@ -64,6 +66,12 @@ def _check_range(base: ModelParams, parameter: str, lo: float, hi: float, n_poin
     replace(base, **{parameter: hi})
 
 
+def _check_budgets(spec) -> None:
+    if spec.n_transient < 0 or spec.n_record < 1 or spec.n_lyap < 1:
+        raise ValueError("budgets must satisfy n_transient >= 0, n_record >= 1, n_lyap >= 1")
+    check_period_tol(spec.period_tol)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-parameter scan: base parameters with one field swept over a grid."""
@@ -82,8 +90,7 @@ class SweepSpec:
 
     def __post_init__(self):
         _check_range(self.base, self.parameter, self.lo, self.hi, self.n_points)
-        if self.n_transient < 0 or self.n_record < 1 or self.n_lyap < 1:
-            raise ValueError("budgets must satisfy n_transient >= 0, n_record >= 1, n_lyap >= 1")
+        _check_budgets(self)
 
 
 @dataclass(frozen=True)
@@ -109,11 +116,12 @@ class SweepResult:
 def _resolve_workers(workers: int | None, n_tasks: int) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
-    return max(1, min(workers, n_tasks))
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, n_tasks)
 
 
-def _eval_point(p: ModelParams, spec_like, value: float) -> SweepPoint:
-    s = spec_like
+def _eval_point(p: ModelParams, s, value: float) -> SweepPoint:
     rec = iterate(
         p,
         s.s0,
@@ -122,17 +130,12 @@ def _eval_point(p: ModelParams, spec_like, value: float) -> SweepPoint:
         max_period=s.max_period,
         period_tol=s.period_tol,
     )
-    if isinstance(rec.outcome, Escaped) and not rec.tail:
+    if isinstance(rec.outcome, Escaped) and len(rec.tail) == 0:
         # Escape during the transient: keep the last pre-escape state as a
         # single marker row so output carries a marker instead of a blank gap.
         pre = iterate(p, s.s0, rec.outcome.at_step, 0).tail
-        if pre:
-            rec = OrbitRecord(
-                initial=rec.initial,
-                transient_len=rec.outcome.at_step - 2,
-                tail=pre[-1:],
-                outcome=rec.outcome,
-            )
+        if len(pre):
+            rec = replace(rec, transient_len=rec.outcome.at_step - 2, tail=pre[-1:])
     try:
         lam1 = lyapunov_spectrum(p, s.s0, s.n_transient, s.n_lyap).lambda1
     except EscapedTooEarly:
@@ -187,8 +190,7 @@ class ChaosGridSpec:
             raise ValueError("r2_values must be non-empty")
         for v in self.r2_values:
             replace(self.base, r2=v)
-        if self.n_transient < 0 or self.n_record < 1 or self.n_lyap < 1:
-            raise ValueError("budgets must satisfy n_transient >= 0, n_record >= 1, n_lyap >= 1")
+        _check_budgets(self)
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,20 @@ def outcome_label(outcome) -> str:
     if isinstance(outcome, Escaped):
         return "escaped"
     return "aperiodic"
+
+
+def bifurcation_table(result: SweepResult) -> tuple[list[str], list[tuple]]:
+    """Header and rows of a bifurcation diagram, one row per tail state.
+
+    The period column holds the int period of a settled point and the
+    outcome label otherwise.
+    """
+    rows = []
+    for pt in result.points:
+        out = pt.orbit.outcome
+        period = out.period if isinstance(out, Settled) else outcome_label(out)
+        rows.extend((pt.value, n, x, y, period, pt.lambda1) for n, x, y in pt.orbit.rows())
+    return ["param", "n", "x", "y", "period", "lambda1"], rows
 
 
 def chaos_grid(spec: ChaosGridSpec, workers: int | None = None) -> ChaosGridResult:

@@ -122,7 +122,7 @@ def test_criterion_2_fixed_point_residuals_and_decoupled_interior():
 
 def log_det_mean(p, s0, n_transient, n):
     states = iterate(p, s0, n_transient - 1 + n, n_transient - 1).tail
-    return math.fsum(math.log(abs(jacobian(p, s).det)) for s in states) / n
+    return math.fsum(math.log(abs(jacobian(p, State(x, y)).det)) for x, y in states.tolist()) / n
 
 
 def test_criterion_3_lyapunov_analytic_oracles_and_sum_rule():
@@ -288,8 +288,8 @@ def test_criterion_7_classification_simulation_coherence(fig1_sweeps, fig2_sweep
                 target.location.y + rng.uniform(-1e-3, 1e-3),
             )
             rec = iterate(p, s, 10_000, 9_999)
-            end = rec.tail[-1]
-            dist = max(abs(end.x - target.location.x), abs(end.y - target.location.y))
+            end_x, end_y = rec.tail[-1]
+            dist = max(abs(end_x - target.location.x), abs(end_y - target.location.y))
             assert dist <= 1e-6, f"no convergence to attracting point for {p}"
 
     n_settled = 0
@@ -397,8 +397,8 @@ def test_criterion_9_io_round_trips(tmp_path):
     res = ek.bifurcation_sweep(spec)
     rows = []
     for pt in res.points:
-        for i, s in enumerate(pt.orbit.tail):
-            rows.append((pt.value, pt.orbit.first_index + i, s.x, s.y, pt.lambda1))
+        for n, x, y in pt.orbit.rows():
+            rows.append((pt.value, n, x, y, pt.lambda1))
     path = tmp_path / "roundtrip.csv"
     path.write_text(render_csv(["param", "n", "x", "y", "lambda1"], rows))
     _, got = read_csv(path)

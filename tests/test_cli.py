@@ -183,6 +183,25 @@ class TestExitCodes:
     def test_missing_config_file_is_3(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "nope.json")) == 3
 
+    @pytest.mark.parametrize("command", ["simulate", "phase", "bifurcate", "chaos-grid"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_invalid_seed_tolerance_is_2(self, config_path, tmp_path, capsys, command, tol):
+        assert run(
+            command, "--config", config_path(BASE), "--out", str(tmp_path / "o"),
+            "--seed-tolerance", tol,
+        ) == 2
+        err = capsys.readouterr().err
+        assert "period_tol" in err and f"got {float(tol)!r}" in err
+
+    @pytest.mark.parametrize("command", ["bifurcate", "chaos-grid"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_2(self, config_path, tmp_path, capsys, command, workers):
+        assert run(
+            command, "--config", config_path(BASE), "--out", str(tmp_path / "o"),
+            "--workers", workers,
+        ) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, config_path, tmp_path):

@@ -30,7 +30,7 @@ def run_to_convergence(p, s, target, n_max=10_000, tol=1e-6):
     """Iterate until within tol (sup norm) of target; return success."""
     for _ in range(n_max // 100):
         rec = iterate(p, s, 100, 0)
-        s = rec.tail[-1]
+        s = State(*rec.tail[-1])
         if max(abs(s.x - target.x), abs(s.y - target.y)) <= tol:
             return True
     return False
@@ -157,8 +157,8 @@ class TestClassificationOracle:
                 it.location.y + rng.uniform(-1e-3, 1e-3),
             )
             rec = iterate(p, s, 10_000, 9_900)
-            end = rec.tail[-1]
-            if max(abs(end.x - it.location.x), abs(end.y - it.location.y)) > 1e-3:
+            end_x, end_y = rec.tail[-1]
+            if max(abs(end_x - it.location.x), abs(end_y - it.location.y)) > 1e-3:
                 escaped_neighbourhood += 1
         assert escaped_neighbourhood >= 9  # the stable manifold has measure zero
 

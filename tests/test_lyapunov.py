@@ -14,14 +14,15 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from ecokmap.dynamics import ModelParams, State, jacobian
+from ecokmap import _kernels
+from ecokmap.dynamics import ModelParams, State, jacobian, step
 from ecokmap.lyapunov import (
     LAMBDA_FLOOR,
     EscapedTooEarly,
     lambda_series,
     lyapunov_spectrum,
 )
-from ecokmap.orbit import iterate
+from ecokmap.orbit import ESCAPE_THRESHOLD, iterate
 
 SLOW_ESCAPE = ModelParams(2, 1.05, 1, 0, 4, 0)
 FAST_ESCAPE = ModelParams(2, 1.5, 1, 0, 4, 0)
@@ -31,7 +32,7 @@ ESCAPE_S0 = State(0.5, 1e-3)
 def orbit_states(p, s0, n_transient, n):
     """States at which the tangent frame is updated: s_{T}, ..., s_{T+n-1}."""
     assert n_transient >= 1
-    return iterate(p, s0, n_transient - 1 + n, n_transient - 1).tail
+    return [State(x, y) for x, y in iterate(p, s0, n_transient - 1 + n, n_transient - 1).tail]
 
 
 class TestAnalyticOracles:
@@ -183,3 +184,68 @@ class TestOrderingProperty:
             assume(False)
         assert r.lambda1 >= r.lambda2
         assert np.all(r.series[:, 1] >= r.series[:, 2])
+
+
+def benettin_reference(p, s0, n_transient, n_iter, floor):
+    """Running (lambda1, lambda2) series of the Benettin scheme in plain Python.
+
+    Built on dynamics.step and dynamics.jacobian with the kernel's
+    operation order, so it pins the formulas the kernel repeats inline.
+    """
+    s = s0
+    for _ in range(n_transient):
+        s = step(p, s)
+    q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
+    acc1 = acc2 = 0.0
+    lam1, lam2 = [], []
+    for n in range(1, n_iter + 1):
+        j = jacobian(p, s)
+        v1x, v1y = j.a11 * q1x + j.a12 * q1y, j.a21 * q1x + j.a22 * q1y
+        v2x, v2y = j.a11 * q2x + j.a12 * q2y, j.a21 * q2x + j.a22 * q2y
+        n1 = np.sqrt(v1x * v1x + v1y * v1y)
+        if n1 > 0.0:
+            q1x, q1y = v1x / n1, v1y / n1
+            acc1 += np.log(n1)
+        else:
+            acc1 += _kernels.LOG_ZERO
+        proj = q1x * v2x + q1y * v2y
+        wx, wy = v2x - proj * q1x, v2y - proj * q1y
+        n2 = np.sqrt(wx * wx + wy * wy)
+        if n2 > 0.0:
+            q2x, q2y = wx / n2, wy / n2
+            acc2 += np.log(n2)
+        else:
+            q2x, q2y = -q1y, q1x
+            acc2 += _kernels.LOG_ZERO
+        hi, lo = sorted((acc1 / n, acc2 / n), reverse=True)
+        lam1.append(max(hi, floor))
+        lam2.append(max(lo, floor))
+        s = step(p, s)
+    return np.array(lam1), np.array(lam2)
+
+
+@pytest.mark.skipif(
+    _kernels.HAVE_NUMBA, reason="compiled np.log lowers to libm; the pin is for the python backend"
+)
+class TestKernelFormulas:
+    @pytest.mark.parametrize(
+        "p, s0",
+        [
+            (ModelParams(3.0, 3.9, 1.8, 0.6, 0.6, 2.5), State(0.2, 0.1)),
+            # r1 = r2 = 0: every Jacobian is zero, so both norms take the LOG_ZERO branch
+            (ModelParams(0, 0, 1, 1, 1, 1), State(0.7, -0.3)),
+        ],
+    )
+    def test_kernel_matches_benettin_reference_bitwise(self, p, s0):
+        # A floor below LOG_ZERO lets the zero-norm stand-in show through.
+        n_transient, n_iter, floor = 100, 300, 2 * _kernels.LOG_ZERO
+        want1, want2 = benettin_reference(p, s0, n_transient, n_iter, floor)
+        got1, got2 = np.empty(n_iter), np.empty(n_iter)
+        lam1, lam2, n_used, escaped, _ = _kernels.lyapunov_kernel(
+            p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_transient, n_iter,
+            ESCAPE_THRESHOLD, floor, got1, got2,
+        )
+        assert (n_used, escaped) == (n_iter, False)
+        assert got1.tobytes() == want1.tobytes()
+        assert got2.tobytes() == want2.tobytes()
+        assert (lam1, lam2) == (want1[-1], want2[-1])

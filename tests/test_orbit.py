@@ -35,14 +35,14 @@ class TestIterate:
         assert rec.outcome == Settled(1)
         assert len(rec.tail) == 1000
         assert rec.first_index == 1001
-        for s in rec.tail[:5]:
-            assert s.x == pytest.approx(0.5, abs=1e-8)
-            assert s.y == pytest.approx(0.0, abs=1e-8)
+        for x, y in rec.tail[:5]:
+            assert x == pytest.approx(0.5, abs=1e-8)
+            assert y == pytest.approx(0.0, abs=1e-8)
 
     def test_zero_growth_settles_at_origin(self):
         rec = iterate(ModelParams(0, 0, 1, 1, 1, 1), State(0.7, -0.3), 50, 10)
         assert rec.outcome == Settled(1)
-        assert all(s == State(0.0, 0.0) for s in rec.tail)
+        assert all(State(x, y) == State(0.0, 0.0) for x, y in rec.tail)
 
     def test_two_cycle_matches_closed_form(self):
         # y follows the logistic map with r = 3.2, whose 2-cycle is
@@ -54,7 +54,7 @@ class TestIterate:
         lo = (r + 1.0 - root) / (2.0 * r)
         rec = iterate(ModelParams(3, r, 1, 0, 0, 1), State(0.2, 0.1), 10_200, 10_000)
         assert rec.outcome == Settled(2)
-        ys = sorted({round(s.y, 9) for s in rec.tail})
+        ys = sorted({round(y, 9) for _, y in rec.tail.tolist()})
         assert len(ys) == 2
         assert ys[0] == pytest.approx(lo, abs=1e-9)
         assert ys[1] == pytest.approx(hi, abs=1e-9)
@@ -77,15 +77,15 @@ class TestEscape:
         # |y| = 1e-3 * 1.05^n crosses 1e6 at n = ceil(log(1e9)/log(1.05))
         assert at == math.ceil(math.log(1e9) / math.log(1.05))
         assert len(rec.tail) == at - 1
-        for s in rec.tail:
-            assert abs(s.x) <= ESCAPE_THRESHOLD and abs(s.y) <= ESCAPE_THRESHOLD
-            assert math.isfinite(s.x) and math.isfinite(s.y)
+        for x, y in rec.tail:
+            assert abs(x) <= ESCAPE_THRESHOLD and abs(y) <= ESCAPE_THRESHOLD
+            assert math.isfinite(x) and math.isfinite(y)
 
     def test_escape_during_transient_gives_empty_tail(self):
         rec = iterate(FAST_ESCAPE, ESCAPE_S0, 2000, 100)
         assert isinstance(rec.outcome, Escaped)
         assert rec.outcome.at_step < 100
-        assert rec.tail == ()
+        assert rec.tail.shape == (0, 2)
 
     def test_never_resumes_after_escape(self):
         rec = iterate(SLOW_ESCAPE, ESCAPE_S0, 100_000, 0)
@@ -108,13 +108,14 @@ class TestDeterminism:
         s = State(0.2, 0.1)
         rec = iterate(p, s, 2000, 0)
         cur = s
-        for recorded in rec.tail:
+        for x, y in rec.tail:
             cur = step(p, cur)
-            assert (cur.x, cur.y) == (recorded.x, recorded.y)
+            assert (cur.x, cur.y) == (x, y)
 
 
 class TestKernelFallback:
     def test_pure_python_fallback_matches_compiled_kernels(self, monkeypatch):
+        pytest.importorskip("numba")
         import importlib
         import sys
 
@@ -163,7 +164,7 @@ class TestDetectPeriod:
 
     def test_full_logistic_is_aperiodic(self):
         rec = iterate(ModelParams(2, 4, 1, 0, 0, 1), State(0.2, 0.3), 1256, 1000)
-        assert detect_period(rec.tail_array(), max_period=64) == Aperiodic()
+        assert detect_period(rec.tail, max_period=64) == Aperiodic()
         assert rec.outcome == Aperiodic()
 
     def test_reports_minimal_period(self):
@@ -184,6 +185,16 @@ class TestDetectPeriod:
     def test_empty_tail_rejected(self):
         with pytest.raises(ValueError):
             detect_period(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan, math.inf])
+    def test_invalid_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="period_tol"):
+            detect_period(np.tile([0.3, 0.4], (50, 1)), period_tol=tol)
+
+    def test_zero_tolerance_requires_exact_repeats(self):
+        assert detect_period(np.tile([0.3, 0.4], (50, 1)), period_tol=0.0) == Settled(1)
+        tail = np.tile([[0.3, 0.4], [0.3 + 1e-15, 0.4]], (25, 1))
+        assert detect_period(tail, period_tol=0.0) == Settled(2)
 
     @given(
         st.integers(min_value=1, max_value=8),

@@ -132,7 +132,7 @@ class TestBifurcationSweep:
                 fp for fp in fixed_points(p) if fp.family is Family.INTERIOR
             )
             assert interior.classification is Classification.ATTRACTING
-            mean = pt.orbit.tail_array().mean(axis=0)
+            mean = pt.orbit.tail.mean(axis=0)
             assert mean[0] == pytest.approx(interior.location.x, abs=1e-6)
             assert mean[1] == pytest.approx(interior.location.y, abs=1e-6)
             assert pt.lambda1 < 0
@@ -166,8 +166,8 @@ class TestBifurcationSweep:
             assert isinstance(pt.orbit.outcome, Escaped)
             assert len(pt.orbit.tail) == 1
             assert pt.orbit.first_index == pt.orbit.outcome.at_step - 1
-            s = pt.orbit.tail[0]
-            assert abs(s.x) <= 1e6 and abs(s.y) <= 1e6
+            x, y = pt.orbit.tail[0]
+            assert abs(x) <= 1e6 and abs(y) <= 1e6
 
     def test_workers_do_not_change_results(self):
         spec = small_spec()
@@ -207,10 +207,10 @@ class TestChaosGrid:
         p = replace(REF_BASE, r2=3.9, c2=0.0, c3=0.0)
         states = iterate(p, S0, spec.n_transient - 1 + spec.n_lyap, spec.n_transient - 1).tail
         lam_x = math.fsum(
-            math.log(abs(p.r1 * (1 - 2 * p.c1 * s.x))) for s in states
+            math.log(abs(p.r1 * (1 - 2 * p.c1 * x))) for x, _ in states.tolist()
         ) / spec.n_lyap
         lam_y = math.fsum(
-            math.log(abs(p.r2 * (1 - 2 * p.c4 * s.y))) for s in states
+            math.log(abs(p.r2 * (1 - 2 * p.c4 * y))) for _, y in states.tolist()
         ) / spec.n_lyap
         assert cell.lambda1 == pytest.approx(max(lam_x, lam_y), abs=1e-10)
 
