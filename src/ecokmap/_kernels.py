@@ -1,11 +1,17 @@
-"""Compiled inner loops for orbit iteration and Lyapunov accumulation.
+"""Inner loops for orbit iteration and Lyapunov accumulation.
 
-These are the only hot paths in the package; each is a scalar kernel over
-plain floats so that one grid point of a sweep is a pure function whose
-floating-point operation order never depends on batch size or worker
-count.  With numba available the kernels are JIT-compiled (nogil, so
-thread pools get real parallelism); without it they run as plain Python.
-The backends are not promised to agree bitwise (compiled np.log is libm's).
+These are the only hot paths in the package.  orbit_kernel and
+lyapunov_kernel are scalar kernels over plain floats for one orbit; with
+numba available they are JIT-compiled, without it they run as plain
+Python.  The backends are not promised to agree bitwise (compiled np.log
+is libm's).
+
+lane_kernel is the sweep engine: it evaluates many parameter points at
+once as numpy lanes, never compiled.  Each lane runs the exact operation
+sequence of orbit_kernel followed by lyapunov_kernel, so on the python
+backend a lane equals those two kernels bitwise, and a lane's result never
+depends on which other lanes share its batch.  tests/test_lanes.py pins
+this against iterate + lyapunov_spectrum.
 
 The step and Jacobian expressions here repeat dynamics.step and
 dynamics.jacobian; tests/test_lyapunov.py::TestKernelFormulas and
@@ -144,3 +150,136 @@ def lyapunov_kernel(
     lam1 = lam1_series[n_used - 1] if n_used > 0 else 0.0
     lam2 = lam2_series[n_used - 1] if n_used > 0 else 0.0
     return lam1, lam2, n_used, escaped, at_step
+
+
+# The plain-Python step, which lane_kernel applies to whole lane arrays.
+_step_lanes = getattr(_step_xy, "py_func", _step_xy)
+
+
+def _lambda1(acc1, acc2, n_used, floor):
+    """lyapunov_kernel's final lambda1 from its two accumulators, per lane."""
+    a = acc1 / n_used
+    b = acc2 / n_used
+    hi = np.where(a >= b, a, b)
+    return np.where(hi > floor, hi, floor)
+
+
+def _zero_norm_update(norm, vx, vy, fx, fy, acc):
+    """One Gram-Schmidt update where some norms are not positive.
+
+    Lanes with norm > 0 take vector / norm and add log(norm); the others
+    take the fallback (fx, fy) and add LOG_ZERO, as the scalar branches do.
+    """
+    pos = norm > 0.0
+    qx = np.where(pos, vx / norm, fx)
+    qy = np.where(pos, vy / norm, fy)
+    return qx, qy, acc + np.where(pos, np.log(norm), LOG_ZERO)
+
+
+# A lane may overflow on the step that escapes it, and zero-norm lanes
+# divide by zero in the branch np.where discards; neither reaches a result.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def lane_kernel(
+    r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_record, n_lyap, threshold, floor, min_steps
+):
+    """Orbit tail and lambda1 of many parameter points, one numpy lane each.
+
+    r1..c4 are per-lane arrays; every lane starts from (x0, y0).  Lane k
+    reproduces orbit_kernel(..., n_transient + n_record, n_transient, ...)
+    and lyapunov_kernel(..., n_transient, n_lyap, ...) at its parameters,
+    fused: the transient is iterated once, then max(n_record, n_lyap)
+    shared steps record the tail during the first n_record and accumulate
+    the exponents during the first n_lyap.  Escaped lanes are dropped from
+    the live arrays.
+
+    Returns (tail, n_rec, at_step, last, lam1), all indexed by lane:
+    tail (n, n_record, 2) holds the recorded states, rows n_rec[k] and
+    beyond unset; at_step is the 1-based step at which the lane escaped
+    (0 if it did not within n_transient + max(n_record, n_lyap) steps);
+    last (n, 2) is the last finite state; lam1 is the largest exponent,
+    NaN when fewer than min_steps Lyapunov steps completed.
+    """
+    r1, r2, c1, c2, c3, c4 = (np.array(a, dtype=np.float64) for a in (r1, r2, c1, c2, c3, c4))
+    n = len(r1)
+    tail = np.empty((n, n_record, 2))
+    n_rec = np.full(n, n_record)
+    at_step = np.zeros(n, dtype=np.int64)
+    last = np.empty((n, 2))
+    lam1 = np.full(n, np.nan)
+
+    # Loop invariants of the Jacobian, each the same leading operation as
+    # in lyapunov_kernel, so every product is evaluated in the same order.
+    two_c1 = 2.0 * c1
+    two_c4 = 2.0 * c4
+    m_r1c2 = -r1 * c2
+    m_r2c3 = -r2 * c3
+
+    live = np.arange(n)
+    x = np.full(n, x0, dtype=np.float64)
+    y = np.full(n, y0, dtype=np.float64)
+    q1x, q1y = np.ones(n), np.zeros(n)
+    q2x, q2y = np.zeros(n), np.ones(n)
+    acc1, acc2 = np.zeros(n), np.zeros(n)
+
+    for step in range(1, n_transient + max(n_record, n_lyap) + 1):
+        i = step - n_transient - 1  # post-transient index, as in lyapunov_kernel
+        if 0 <= i < n_lyap:
+            j11 = r1 * (1.0 - two_c1 * x - c2 * y)
+            j12 = m_r1c2 * x
+            j21 = m_r2c3 * y
+            j22 = r2 * (1.0 - c3 * x - two_c4 * y)
+
+            v1x = j11 * q1x + j12 * q1y
+            v1y = j21 * q1x + j22 * q1y
+            v2x = j11 * q2x + j12 * q2y
+            v2y = j21 * q2x + j22 * q2y
+
+            n1 = np.sqrt(v1x * v1x + v1y * v1y)
+            if n1.min() > 0.0:
+                q1x = v1x / n1
+                q1y = v1y / n1
+                acc1 = acc1 + np.log(n1)
+            else:
+                q1x, q1y, acc1 = _zero_norm_update(n1, v1x, v1y, q1x, q1y, acc1)
+
+            proj = q1x * v2x + q1y * v2y
+            wx = v2x - proj * q1x
+            wy = v2y - proj * q1y
+            n2 = np.sqrt(wx * wx + wy * wy)
+            if n2.min() > 0.0:
+                q2x = wx / n2
+                q2y = wy / n2
+                acc2 = acc2 + np.log(n2)
+            else:
+                q2x, q2y, acc2 = _zero_norm_update(n2, wx, wy, -q1y, q1x, acc2)
+
+        xn, yn = _step_lanes(r1, r2, c1, c2, c3, c4, x, y)
+        ok = np.maximum(np.abs(xn), np.abs(yn)) <= threshold  # False for NaN
+        if not ok.all():
+            gone = ~ok
+            ids = live[gone]
+            at_step[ids] = step
+            last[ids, 0] = x[gone]
+            last[ids, 1] = y[gone]
+            n_rec[ids] = min(max(i, 0), n_record)
+            if 0 <= i < n_lyap and i + 1 >= min_steps:
+                lam1[ids] = _lambda1(acc1[gone], acc2[gone], i + 1, floor)
+            live, r1, r2, c1, c2, c3, c4, two_c1, two_c4, m_r1c2, m_r2c3 = (
+                a[ok] for a in (live, r1, r2, c1, c2, c3, c4, two_c1, two_c4, m_r1c2, m_r2c3)
+            )
+            xn, yn, q1x, q1y, q2x, q2y, acc1, acc2 = (
+                a[ok] for a in (xn, yn, q1x, q1y, q2x, q2y, acc1, acc2)
+            )
+            if not len(live):
+                return tail, n_rec, at_step, last, lam1
+        if 0 <= i < n_record:
+            tail[live, i, 0] = xn
+            tail[live, i, 1] = yn
+        if i + 1 == n_lyap and n_lyap >= min_steps:
+            lam1[live] = _lambda1(acc1, acc2, n_lyap, floor)
+        x, y = xn, yn
+
+    last[live, 0] = x
+    last[live, 1] = y
+    return tail, n_rec, at_step, last, lam1
+

@@ -77,7 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("bifurcate", "chaos-grid"):
             cmd.add_argument("--grid", type=int, default=None, help="override grid point count")
             cmd.add_argument(
-                "--workers", type=int, default=None, help="worker threads (default: cpu count)"
+                "--workers",
+                type=int,
+                default=None,
+                help="accepted for compatibility (>= 1); no effect on results or speed",
             )
     return parser
 

@@ -69,10 +69,10 @@ def lyapunov_spectrum(
     The frame starts as the identity (axis-aligned unit vectors).  If the
     base orbit escapes, a partial result with escaped=True is returned,
     provided at least MIN_STEPS steps completed; otherwise EscapedTooEarly
-    is raised.
+    is raised.  A budget n_iter below MIN_STEPS is rejected with ValueError.
     """
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    if n_iter < MIN_STEPS:
+        raise ValueError(f"n_iter must be >= {MIN_STEPS}, got {n_iter}")
     if n_transient < 0:
         raise ValueError(f"n_transient must be >= 0, got {n_transient}")
     lam1_series = np.empty(n_iter)

@@ -1,33 +1,33 @@
 """Batch engine: one-parameter bifurcation sweeps and (c2, c3) chaos grids.
 
-Each grid point is an independent pure computation (orbit tail + period
-label + largest Lyapunov exponent), so points may be evaluated on any
-number of worker threads; results are assembled by grid index and are
-bitwise identical regardless of worker count.  The kernels release the
-GIL only when compiled by numba; on the pure-Python backend the GIL
-serialises the threads.
+Every point of a sweep or grid (orbit tail + period label + largest
+Lyapunov exponent) is evaluated as one numpy lane of
+_kernels.lane_kernel, LANE_BLOCK lanes per call.  A lane's result depends
+only on its own inputs, so results are bitwise identical whatever the grid
+size, block size or worker count; tests/test_lanes.py pins each lane
+against iterate + lyapunov_spectrum.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels, orbit
 from .dynamics import ModelParams, State
-from .lyapunov import SWEEP_STEPS, EscapedTooEarly, lyapunov_spectrum
+from .lyapunov import LAMBDA_FLOOR, MIN_STEPS, SWEEP_STEPS
 from .orbit import (
     DEFAULT_RECORD,
     DEFAULT_TRANSIENT,
+    ESCAPE_THRESHOLD,
     MAX_PERIOD,
     PERIOD_TOL,
     Escaped,
     OrbitRecord,
     Settled,
     check_period_tol,
-    iterate,
 )
 
 __all__ = [
@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 SWEEPABLE_PARAMETERS = ("r1", "r2", "c1", "c2", "c3", "c4")
+# Points per lane_kernel call; bounds the engine's working memory.
+LANE_BLOCK = 1024
 
 
 def grid_values(lo: float, hi: float, n_points: int) -> np.ndarray:
@@ -67,8 +69,11 @@ def _check_range(base: ModelParams, parameter: str, lo: float, hi: float, n_poin
 
 
 def _check_budgets(spec) -> None:
-    if spec.n_transient < 0 or spec.n_record < 1 or spec.n_lyap < 1:
-        raise ValueError("budgets must satisfy n_transient >= 0, n_record >= 1, n_lyap >= 1")
+    if spec.n_transient < 0 or spec.n_record < 1 or spec.n_lyap < MIN_STEPS:
+        raise ValueError(
+            f"budgets must satisfy n_transient >= 0, n_record >= 1, n_lyap >= {MIN_STEPS}, "
+            f"got {spec.n_transient}, {spec.n_record}, {spec.n_lyap}"
+        )
     check_period_tol(spec.period_tol)
 
 
@@ -113,54 +118,53 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
 
-def _resolve_workers(workers: int | None, n_tasks: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    elif workers < 1:
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(workers, n_tasks)
 
 
-def _eval_point(p: ModelParams, s, value: float) -> SweepPoint:
-    rec = iterate(
-        p,
-        s.s0,
-        s.n_transient + s.n_record,
-        s.n_transient,
-        max_period=s.max_period,
-        period_tol=s.period_tol,
-    )
-    if isinstance(rec.outcome, Escaped) and len(rec.tail) == 0:
+def _record(spec, tail: np.ndarray, at_step: int, last: np.ndarray) -> OrbitRecord:
+    """Orbit record of one lane: its recorded tail, or its escape outcome."""
+    if not 0 < at_step <= spec.n_transient + spec.n_record:
+        outcome = orbit.detect_period(tail, spec.max_period, spec.period_tol)
+        return OrbitRecord(spec.s0, spec.n_transient, tail, outcome)
+    transient_len = spec.n_transient
+    if len(tail) == 0 and at_step > 1:
         # Escape during the transient: keep the last pre-escape state as a
         # single marker row so output carries a marker instead of a blank gap.
-        pre = iterate(p, s.s0, rec.outcome.at_step, 0).tail
-        if len(pre):
-            rec = replace(rec, transient_len=rec.outcome.at_step - 2, tail=pre[-1:])
-    try:
-        lam1 = lyapunov_spectrum(p, s.s0, s.n_transient, s.n_lyap).lambda1
-    except EscapedTooEarly:
-        lam1 = math.nan
-    return SweepPoint(value=value, orbit=rec, lambda1=lam1)
+        transient_len, tail = at_step - 2, last[None]
+    return OrbitRecord(spec.s0, transient_len, tail, Escaped(at_step))
+
+
+def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, float]]:
+    """Yield (orbit record, lambda1) per parameter point, LANE_BLOCK lanes at a time."""
+    for start in range(0, len(params), LANE_BLOCK):
+        block = params[start : start + LANE_BLOCK]
+        lanes = [[getattr(p, f) for p in block] for f in SWEEPABLE_PARAMETERS]
+        tail, n_rec, at_step, last, lam1 = _kernels.lane_kernel(
+            *lanes,
+            spec.s0.x, spec.s0.y,
+            spec.n_transient, spec.n_record, spec.n_lyap,
+            ESCAPE_THRESHOLD, LAMBDA_FLOOR, MIN_STEPS,
+        )
+        for k in range(len(block)):
+            yield _record(spec, tail[k, : n_rec[k]], int(at_step[k]), last[k]), float(lam1[k])
 
 
 def bifurcation_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate orbit tail, period label and lambda1 at every grid value.
 
     Output ordering is by grid index; escape at a point is recorded in
-    place and never aborts the sweep.
+    place and never aborts the sweep.  workers is accepted for
+    compatibility (it must be >= 1) and changes nothing.
     """
+    _check_workers(workers)
     grid = grid_values(spec.lo, spec.hi, spec.n_points)
-
-    def job(value: float) -> SweepPoint:
-        p = replace(spec.base, **{spec.parameter: value})
-        return _eval_point(p, spec, value)
-
-    n_workers = _resolve_workers(workers, spec.n_points)
-    if n_workers == 1:
-        points = tuple(job(v) for v in grid)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            points = tuple(pool.map(job, grid))
+    params = [replace(spec.base, **{spec.parameter: v}) for v in grid]
+    points = tuple(
+        SweepPoint(value=v, orbit=rec, lambda1=lam1)
+        for v, (rec, lam1) in zip(grid, _evaluate(spec, params))
+    )
     return SweepResult(spec=spec, grid=grid, points=points)
 
 
@@ -235,25 +239,16 @@ def bifurcation_table(result: SweepResult) -> tuple[list[str], list[tuple]]:
 def chaos_grid(spec: ChaosGridSpec, workers: int | None = None) -> ChaosGridResult:
     """lambda1 plus period label over the (c2, c3) plane at fixed r2 values.
 
-    Cells are ordered (r2 outer, c2 middle, c3 inner), deterministically
-    regardless of worker count.
+    Cells are ordered (r2 outer, c2 middle, c3 inner).  workers is
+    accepted for compatibility (it must be >= 1) and changes nothing.
     """
+    _check_workers(workers)
     c2_grid = grid_values(spec.c2_lo, spec.c2_hi, spec.c2_points)
     c3_grid = grid_values(spec.c3_lo, spec.c3_hi, spec.c3_points)
     tasks = [(r2, c2, c3) for r2 in spec.r2_values for c2 in c2_grid for c3 in c3_grid]
-
-    def job(task: tuple[float, float, float]) -> GridCell:
-        r2, c2, c3 = task
-        p = replace(spec.base, r2=r2, c2=c2, c3=c3)
-        pt = _eval_point(p, spec, r2)
-        return GridCell(
-            c2=c2, c3=c3, r2=r2, lambda1=pt.lambda1, label=outcome_label(pt.orbit.outcome)
-        )
-
-    n_workers = _resolve_workers(workers, len(tasks))
-    if n_workers == 1:
-        cells = tuple(job(t) for t in tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            cells = tuple(pool.map(job, tasks))
+    params = [replace(spec.base, r2=r2, c2=c2, c3=c3) for r2, c2, c3 in tasks]
+    cells = tuple(
+        GridCell(c2=c2, c3=c3, r2=r2, lambda1=lam1, label=outcome_label(rec.outcome))
+        for (r2, c2, c3), (rec, lam1) in zip(tasks, _evaluate(spec, params))
+    )
     return ChaosGridResult(spec=spec, c2_grid=c2_grid, c3_grid=c3_grid, cells=cells)

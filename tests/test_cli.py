@@ -203,6 +203,38 @@ class TestExitCodes:
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "phase", "lyapunov", "bifurcate", "chaos-grid"]
+    )
+    def test_zero_steps_is_2(self, config_path, tmp_path, command):
+        assert run(
+            command, "--config", config_path(BASE), "--out", str(tmp_path / "o"), "--steps", "0"
+        ) == 2
+
+    @pytest.mark.parametrize("command", ["bifurcate", "chaos-grid"])
+    def test_single_point_grid_is_2(self, config_path, tmp_path, command):
+        assert run(
+            command, "--config", config_path(BASE), "--out", str(tmp_path / "o"), "--grid", "1"
+        ) == 2
+
+    def test_lyapunov_budget_below_minimum_is_2(self, config_path, tmp_path, capsys):
+        assert run(
+            "lyapunov", "--config", config_path(BASE), "--out", str(tmp_path / "o"),
+            "--steps", "50",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "n_iter must be >= 100, got 50" in err and "escaped" not in err
+
+    @pytest.mark.parametrize("block", ["sweep", "grid"])
+    def test_sweep_lyapunov_budget_below_minimum_is_2(self, config_path, tmp_path, capsys, block):
+        doc = dict(BASE, **{block: {"lyap": 50}})
+        command = "bifurcate" if block == "sweep" else "chaos-grid"
+        assert run(
+            command, "--config", config_path(doc), "--out", str(tmp_path / "o"), "--grid", "5"
+        ) == 2
+        assert "n_lyap >= 100" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, config_path, tmp_path):
         doc = dict(BASE, sweep={"points": 5, "lyap": 1000})

@@ -18,6 +18,7 @@ from ecokmap import _kernels
 from ecokmap.dynamics import ModelParams, State, jacobian, step
 from ecokmap.lyapunov import (
     LAMBDA_FLOOR,
+    MIN_STEPS,
     EscapedTooEarly,
     lambda_series,
     lyapunov_spectrum,
@@ -166,6 +167,12 @@ class TestEscape:
             lyapunov_spectrum(p, State(0.2, 0.2), 0, 0)
         with pytest.raises(ValueError):
             lyapunov_spectrum(p, State(0.2, 0.2), -1, 100)
+
+    def test_budget_below_min_steps_rejected(self):
+        p = ModelParams(2, 2, 1, 0, 0, 1)
+        with pytest.raises(ValueError, match=f">= {MIN_STEPS}, got {MIN_STEPS - 1}"):
+            lyapunov_spectrum(p, State(0.2, 0.2), 0, MIN_STEPS - 1)
+        assert lyapunov_spectrum(p, State(0.2, 0.2), 0, MIN_STEPS).n_used == MIN_STEPS
 
 
 rates = st.floats(min_value=0.5, max_value=4.0)

@@ -153,6 +153,15 @@ class TestKernelFallback:
         np.testing.assert_array_equal(l2_py, l2_jit)
 
 
+class TestBackend:
+    def test_names_the_scalar_kernel_backend(self):
+        import ecokmap
+        from ecokmap import _kernels
+
+        assert ecokmap.backend() == ("numba" if _kernels.HAVE_NUMBA else "python")
+        assert "backend" in ecokmap.__all__
+
+
 class TestDetectPeriod:
     def test_constant_tail(self):
         tail = np.tile([0.3, 0.4], (50, 1))

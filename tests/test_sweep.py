@@ -80,6 +80,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(n_points=1)
 
+    def test_rejects_lyapunov_budget_below_min_steps(self):
+        with pytest.raises(ValueError, match="n_lyap >= 100"):
+            small_spec(n_lyap=99)
+        small_spec(n_lyap=100)
+
     def test_grid_spec_checks_r2_values(self):
         with pytest.raises(ValueError, match="r2"):
             ChaosGridSpec(
