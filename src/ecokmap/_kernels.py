@@ -1,15 +1,19 @@
 """Inner loops for orbit iteration and Lyapunov accumulation.
 
 These are the only hot paths in the package.  orbit_kernel and
-lyapunov_kernel are scalar kernels over plain floats for one orbit; with
-numba available they are JIT-compiled, without it they run as plain
-Python.  The backends are not promised to agree bitwise (compiled np.log
-is libm's).
+lyapunov_kernel are scalar kernels for one orbit; with numba available
+they are JIT-compiled, without it they run as plain Python.  Their frame
+loops work on plain floats (math.sqrt is correctly rounded, like
+np.sqrt); lyapunov_kernel stores the per-step norms and takes their logs
+afterwards, as one array np.log, followed by a cumulative sum (a
+sequential add, so bitwise the running accumulation).  The backends are
+not promised to agree bitwise (compiled np.log is libm's).
 
 lane_kernel is the sweep engine: it evaluates many parameter points at
 once as numpy lanes, never compiled.  Each lane runs the exact operation
-sequence of orbit_kernel followed by lyapunov_kernel, so on the python
-backend a lane equals those two kernels bitwise, and a lane's result never
+sequence of orbit_kernel followed by lyapunov_kernel, with the same array
+np.log and the same escape predicate (_inside), so on the python backend
+a lane equals those two kernels bitwise, and a lane's result never
 depends on which other lanes share its batch.  tests/test_lanes.py pins
 this against iterate + lyapunov_spectrum.
 
@@ -18,6 +22,8 @@ dynamics.jacobian; tests/test_lyapunov.py::TestKernelFormulas and
 tests/test_orbit.py::TestDeterminism pin them bitwise against those.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,10 +52,27 @@ def _step_xy(r1, r2, c1, c2, c3, c4, x, y):
 
 
 @njit(cache=True, nogil=True, inline="always")
-def _escaped(x, y, threshold):
-    if not (np.isfinite(x) and np.isfinite(y)):
-        return True
-    return abs(x) > threshold or abs(y) > threshold
+def _inside(x, y, threshold):
+    """Not escaped: both components within threshold (False for NaN).
+
+    Works on floats and, elementwise, on lane arrays."""
+    return (abs(x) <= threshold) & (abs(y) <= threshold)
+
+
+@njit(cache=True, nogil=True)
+def _log_norms(norms):
+    """log of each norm, LOG_ZERO where it is not positive."""
+    pos = norms > 0.0
+    return np.where(pos, np.log(np.where(pos, norms, 1.0)), LOG_ZERO)
+
+
+@njit(cache=True, nogil=True)
+def _ordered(a, b, floor):
+    """The larger and the smaller of each pair of running means, floored."""
+    ge = a >= b
+    hi = np.where(ge, a, b)
+    lo = np.where(ge, b, a)
+    return np.where(hi > floor, hi, floor), np.where(lo > floor, lo, floor)
 
 
 @njit(cache=True, nogil=True)
@@ -66,7 +89,7 @@ def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold
     n_rec = 0
     for n in range(1, n_total + 1):
         x, y = _step_xy(r1, r2, c1, c2, c3, c4, x, y)
-        if _escaped(x, y, threshold):
+        if not _inside(x, y, threshold):
             return n_rec, True, n
         if n > n_transient:
             out[n_rec, 0] = x
@@ -82,22 +105,22 @@ def lyapunov_kernel(
     """Two-exponent Benettin accumulation with per-step Gram-Schmidt.
 
     An orthonormal frame (initially the identity) is pushed through the
-    exact Jacobian along the orbit; the log of each re-orthonormalization
-    norm is accumulated and the running per-step means are written into
-    lam1_series/lam2_series (sorted so series 1 >= series 2, floored at
-    `floor`).  Returns (lambda1, lambda2, n_used, escaped, at_step).
+    exact Jacobian along the orbit and re-orthonormalized every step.  The
+    loop stores each step's two norms in lam1_series/lam2_series; after it,
+    their logs (LOG_ZERO for a norm that is not positive) are accumulated
+    and the running per-step means overwrite the buffers (sorted so series
+    1 >= series 2, floored at `floor`).  Returns (lambda1, lambda2, n_used,
+    escaped, at_step).
     """
     x = x0
     y = y0
     for n in range(1, n_transient + 1):
         x, y = _step_xy(r1, r2, c1, c2, c3, c4, x, y)
-        if _escaped(x, y, threshold):
+        if not _inside(x, y, threshold):
             return 0.0, 0.0, 0, True, n
 
     q1x, q1y = 1.0, 0.0
     q2x, q2y = 0.0, 1.0
-    acc1 = 0.0
-    acc2 = 0.0
     n_used = 0
     escaped = False
     at_step = 0
@@ -112,56 +135,58 @@ def lyapunov_kernel(
         v2x = j11 * q2x + j12 * q2y
         v2y = j21 * q2x + j22 * q2y
 
-        n1 = np.sqrt(v1x * v1x + v1y * v1y)
+        n1 = math.sqrt(v1x * v1x + v1y * v1y)
         if n1 > 0.0:
             q1x = v1x / n1
             q1y = v1y / n1
-            acc1 += np.log(n1)
-        else:
-            acc1 += LOG_ZERO
+        lam1_series[i] = n1
 
         proj = q1x * v2x + q1y * v2y
         wx = v2x - proj * q1x
         wy = v2y - proj * q1y
-        n2 = np.sqrt(wx * wx + wy * wy)
+        n2 = math.sqrt(wx * wx + wy * wy)
         if n2 > 0.0:
             q2x = wx / n2
             q2y = wy / n2
-            acc2 += np.log(n2)
         else:
             q2x = -q1y
             q2y = q1x
-            acc2 += LOG_ZERO
+        lam2_series[i] = n2
 
         n_used = i + 1
-        a = acc1 / n_used
-        b = acc2 / n_used
-        hi = a if a >= b else b
-        lo = b if a >= b else a
-        lam1_series[i] = hi if hi > floor else floor
-        lam2_series[i] = lo if lo > floor else floor
-
         x, y = _step_xy(r1, r2, c1, c2, c3, c4, x, y)
-        if _escaped(x, y, threshold):
+        if not _inside(x, y, threshold):
             escaped = True
             at_step = n_transient + n_used
             break
 
-    lam1 = lam1_series[n_used - 1] if n_used > 0 else 0.0
-    lam2 = lam2_series[n_used - 1] if n_used > 0 else 0.0
-    return lam1, lam2, n_used, escaped, at_step
+    if n_used == 0:
+        return 0.0, 0.0, 0, escaped, at_step
+    steps = np.arange(1, n_used + 1)
+    s1 = lam1_series[:n_used]
+    s2 = lam2_series[:n_used]
+    s1[:] = np.cumsum(_log_norms(s1)) / steps
+    s2[:] = np.cumsum(_log_norms(s2)) / steps
+    hi, lo = _ordered(s1, s2, floor)
+    s1[:] = hi
+    s2[:] = lo
+    return s1[-1], s2[-1], n_used, escaped, at_step
 
 
-# The plain-Python step, which lane_kernel applies to whole lane arrays.
-_step_lanes = getattr(_step_xy, "py_func", _step_xy)
+def _plain(fn):
+    """The plain-Python function behind a kernel helper; lane_kernel
+    applies these to whole lane arrays."""
+    return getattr(fn, "py_func", fn)
+
+
+_step_lanes, _inside_lanes, _log_norms_lanes, _ordered_lanes = map(
+    _plain, (_step_xy, _inside, _log_norms, _ordered)
+)
 
 
 def _lambda1(acc1, acc2, n_used, floor):
     """lyapunov_kernel's final lambda1 from its two accumulators, per lane."""
-    a = acc1 / n_used
-    b = acc2 / n_used
-    hi = np.where(a >= b, a, b)
-    return np.where(hi > floor, hi, floor)
+    return _ordered_lanes(acc1 / n_used, acc2 / n_used, floor)[0]
 
 
 def _zero_norm_update(norm, vx, vy, fx, fy, acc):
@@ -173,7 +198,7 @@ def _zero_norm_update(norm, vx, vy, fx, fy, acc):
     pos = norm > 0.0
     qx = np.where(pos, vx / norm, fx)
     qy = np.where(pos, vy / norm, fy)
-    return qx, qy, acc + np.where(pos, np.log(norm), LOG_ZERO)
+    return qx, qy, acc + _log_norms_lanes(norm)
 
 
 # A lane may overflow on the step that escapes it, and zero-norm lanes
@@ -254,7 +279,7 @@ def lane_kernel(
                 q2x, q2y, acc2 = _zero_norm_update(n2, wx, wy, -q1y, q1x, acc2)
 
         xn, yn = _step_lanes(r1, r2, c1, c2, c3, c4, x, y)
-        ok = np.maximum(np.abs(xn), np.abs(yn)) <= threshold  # False for NaN
+        ok = _inside_lanes(xn, yn, threshold)
         if not ok.all():
             gone = ~ok
             ids = live[gone]

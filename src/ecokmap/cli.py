@@ -110,13 +110,12 @@ def cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     record = _pick(args.steps, cfg.budgets.record)
     tol = _pick(args.seed_tolerance, PERIOD_TOL)
     rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
-    rows = rec.rows()
-    _write_rows(out_dir, "orbit.csv", ["n", "x", "y"], rows)
+    _write_rows(out_dir, "orbit.csv", ["n", "x", "y"], rec.rows())
     print(f"outcome: {outcome_label(rec.outcome)}")
     if args.plot:
         svg = line_svg(
-            [r[1] for r in rows],
-            [r[2] for r in rows],
+            rec.tail[:, 0],
+            rec.tail[:, 1],
             xlabel="x",
             ylabel="y",
             title=f"orbit tail, r2={cfg.params.r2:g} ({outcome_label(rec.outcome)})",
@@ -166,7 +165,7 @@ def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
     result = lyapunov_spectrum(cfg.params, cfg.initial, transient, n_iter)
     stride = max(1, n_iter // 1000)
     series = lambda_series(result, stride)
-    rows = [(int(n), l1, l2) for n, l1, l2 in series]
+    rows = [(int(n), l1, l2) for n, l1, l2 in series.tolist()]
     _write_rows(out_dir, "lyapunov.csv", ["n", "lambda1", "lambda2"], rows)
     print(
         f"lambda1={result.lambda1:.6g} lambda2={result.lambda2:.6g} "
@@ -225,16 +224,16 @@ def cmd_phase(cfg: RunConfig, args, out_dir: Path) -> int:
     record = _pick(args.steps, PHASE_RECORD)
     tol = _pick(args.seed_tolerance, PERIOD_TOL)
     rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
-    rows = rec.rows()
-    _write_rows(out_dir, "phase.csv", ["n", "x", "y"], rows)
+    _write_rows(out_dir, "phase.csv", ["n", "x", "y"], rec.rows())
     print(f"outcome: {outcome_label(rec.outcome)}")
     if args.plot:
+        last = rec.first_index + len(rec.tail) - 1
         svg = scatter_svg(
-            [r[1] for r in rows],
-            [r[2] for r in rows],
+            rec.tail[:, 0],
+            rec.tail[:, 1],
             xlabel="x",
             ylabel="y",
-            title=f"phase portrait, iterations {rec.first_index}..{rec.first_index + len(rows) - 1}",
+            title=f"phase portrait, iterations {rec.first_index}..{last}",
             radius=2.0,
         )
         _write(out_dir, "phase.svg", svg)

@@ -37,6 +37,8 @@ DEFAULT_TRANSIENT = 400
 DEFAULT_RECORD = 100
 PERIOD_TOL = 1e-6
 MAX_PERIOD = 64
+# Rows detect_period tests for each candidate period before the full tail.
+PERIOD_PREFIX = 64
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,24 @@ def detect_period(tail, max_period: int = MAX_PERIOD, period_tol: float = PERIOD
     if max_period < 1:
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     check_period_tol(period_tol)
+    bound = period_tol * (1.0 + _sup(a))
     for k in range(1, min(max_period, n - 1) + 1):
-        diffs = np.abs(a[:-k] - a[k:]).max(axis=1)
-        scale = 1.0 + np.abs(a[:-k]).max(axis=1)
-        if np.all(diffs <= period_tol * scale):
+        # A row failing among the first PERIOD_PREFIX fails the whole test,
+        # so most wrong candidates are rejected without touching the rest.
+        if _repeats(a[: PERIOD_PREFIX + k], bound, k) and _repeats(a, bound, k):
             return Settled(k)
     return Aperiodic()
+
+
+def _repeats(a, bound, k) -> bool:
+    """Whether every row i of a with i + k in range is within bound[i] of row i + k."""
+    return bool(np.all(_sup(a[:-k] - a[k:]) <= bound[: len(a) - k]))
+
+
+def _sup(d):
+    """Row-wise sup norm of an (n, 2) array."""
+    d = np.abs(d)
+    return np.maximum(d[:, 0], d[:, 1])
 
 
 def iterate(

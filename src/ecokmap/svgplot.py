@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 __all__ = ["scatter_svg", "line_svg", "heatmap_svg", "count_data_elements"]
 
 WIDTH = 640.0
@@ -31,30 +33,41 @@ def _pad_range(lo: float, hi: float) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         lo, hi = 0.0, 1.0
     if lo == hi:
-        pad = 0.5 if lo == 0.0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 0.5  # 0.5 also where a subnormal lo underflows
     else:
         pad = (hi - lo) * PAD_FRACTION
     return lo - pad, hi + pad
 
 
-class _Axes:
-    def __init__(self, xs, ys):
-        finite_x = [v for v in xs if math.isfinite(v)]
-        finite_y = [v for v in ys if math.isfinite(v)]
-        self.x_lo, self.x_hi = _pad_range(
-            min(finite_x, default=0.0), max(finite_x, default=1.0)
-        )
-        self.y_lo, self.y_hi = _pad_range(
-            min(finite_y, default=0.0), max(finite_y, default=1.0)
-        )
+def _span(v: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest finite value; (0, 1) when there is none."""
+    finite = v[np.isfinite(v)].tolist()
+    return min(finite, default=0.0), max(finite, default=1.0)
 
-    def px(self, x: float) -> float:
+
+class _Axes:
+    """Data-to-pixel mapping.  px and py take a float or, elementwise, an
+    array, so tick marks and data points share one formula."""
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.x_lo, self.x_hi = _pad_range(*_span(xs))
+        self.y_lo, self.y_hi = _pad_range(*_span(ys))
+
+    def px(self, x):
         t = (x - self.x_lo) / (self.x_hi - self.x_lo)
         return MARGIN_L + t * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def py(self, y: float) -> float:
+    def py(self, y):
         t = (y - self.y_lo) / (self.y_hi - self.y_lo)
         return HEIGHT - MARGIN_B - t * (HEIGHT - MARGIN_T - MARGIN_B)
+
+    def points(self, xs: np.ndarray, ys: np.ndarray):
+        """Pixel (x, y) of each data point, as pairs of Python floats."""
+        return zip(self.px(xs).tolist(), self.py(ys).tolist())
+
+
+def _coords(v) -> np.ndarray:
+    return np.asarray(v if isinstance(v, np.ndarray) else list(v), dtype=np.float64)
 
 
 def _header(title: str) -> list[str]:
@@ -116,39 +129,35 @@ def _axes_elems(ax: _Axes, xlabel: str, ylabel: str) -> list[str]:
     return out
 
 
+# One data marker; _fmt's "%.2f" for its coordinates.
+_CIRCLE = '<circle class="d" cx="%.2f" cy="%.2f" r="{r}" fill="#1f5fa8"/>'
+
+
 def scatter_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.2) -> str:
     """Scatter plot; one circle (class "d") per point."""
-    xs = list(xs)
-    ys = list(ys)
+    xs, ys = _coords(xs), _coords(ys)
     ax = _Axes(xs, ys)
+    circles = _CIRCLE.format(r=_fmt(radius)).__mod__
     parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
-    for x, y in zip(xs, ys):
-        parts.append(
-            f'<circle class="d" cx="{_fmt(ax.px(x))}" cy="{_fmt(ax.py(y))}" '
-            f'r="{_fmt(radius)}" fill="#1f5fa8"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.extend(map(circles, ax.points(xs, ys)))
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def line_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.2) -> str:
     """Line chart: a polyline through the points plus one marker circle
     (class "d") per point."""
-    xs = list(xs)
-    ys = list(ys)
+    xs, ys = _coords(xs), _coords(ys)
     ax = _Axes(xs, ys)
+    circles = _CIRCLE.format(r=_fmt(radius)).__mod__
     parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
-    coords = " ".join(f"{_fmt(ax.px(x))},{_fmt(ax.py(y))}" for x, y in zip(xs, ys))
+    coords = " ".join(map("%.2f,%.2f".__mod__, ax.points(xs, ys)))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
     )
-    for x, y in zip(xs, ys):
-        parts.append(
-            f'<circle class="d" cx="{_fmt(ax.px(x))}" cy="{_fmt(ax.py(y))}" '
-            f'r="{_fmt(radius)}" fill="#1f5fa8"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.extend(map(circles, ax.points(xs, ys)))
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def _heat_color(v: float, lo: float, hi: float) -> str:
@@ -173,7 +182,8 @@ def heatmap_svg(xs, ys, values, *, xlabel: str, ylabel: str, title: str) -> str:
     xs = list(xs)
     ys = list(ys)
     values = list(values)
-    ax = _Axes(xs, ys)
+    cx, cy = _coords(xs), _coords(ys)
+    ax = _Axes(cx, cy)
     ux = sorted(set(xs))
     uy = sorted(set(ys))
     dx = min((b - a for a, b in zip(ux, ux[1:])), default=1.0)
@@ -184,13 +194,15 @@ def heatmap_svg(xs, ys, values, *, xlabel: str, ylabel: str, title: str) -> str:
     parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
     w = abs(ax.px(dx) - ax.px(0.0))
     h = abs(ax.py(dy) - ax.py(0.0))
-    for x, y, v in zip(xs, ys, values):
-        parts.append(
-            f'<rect class="d" x="{_fmt(ax.px(x) - w / 2)}" y="{_fmt(ax.py(y) - h / 2)}" '
-            f'width="{_fmt(w)}" height="{_fmt(h)}" fill="{_heat_color(v, v_lo, v_hi)}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    rect = (
+        f'<rect class="d" x="%.2f" y="%.2f" width="{_fmt(w)}" height="{_fmt(h)}" fill="%s"/>'
+    ).__mod__
+    parts.extend(
+        rect((px - w / 2, py - h / 2, _heat_color(v, v_lo, v_hi)))
+        for (px, py), v in zip(ax.points(cx, cy), values)
+    )
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def count_data_elements(svg_text: str) -> int:

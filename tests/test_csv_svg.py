@@ -1,9 +1,21 @@
-"""CSV exactness and SVG validity/determinism."""
+"""CSV exactness and SVG validity/determinism.
+
+The reference renderers here are the straightforward per-value forms:
+csv.writer over format_value strings, and one f-string per SVG data point
+through scalar _Axes.px/py calls.  The package's templated writers must
+give the same bytes.
+"""
+import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
+from ecokmap import svgplot
 from ecokmap.csvio import format_value, read_csv, render_csv, write_csv
 from ecokmap.svgplot import count_data_elements, heatmap_svg, line_svg, scatter_svg
 
@@ -85,3 +97,158 @@ class TestSvg:
     def test_title_is_escaped(self):
         svg = scatter_svg([0.0], [0.0], xlabel="x", ylabel="y", title="a < b & c")
         ET.fromstring(svg)
+
+
+def reference_csv(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format_value(v) for v in row])
+    return buf.getvalue()
+
+
+# Fields csv.writer must quote, or that it writes specially.
+AWKWARD_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " ", "'", "%s", "%d"]
+csv_fields = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0 and subnormals included
+    st.floats().map(np.float64),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.sampled_from(["aperiodic", "escaped", "period-3", *AWKWARD_LABELS]),
+    st.text(alphabet="ab ,\"\r\n-", max_size=4),
+)
+csv_rows = st.lists(
+    st.lists(csv_fields, min_size=0, max_size=5).map(tuple) | st.lists(csv_fields, max_size=5),
+    max_size=30,
+)
+
+
+class TestCsvTemplates:
+    """render_csv and write_csv against csv.writer + format_value."""
+
+    @given(csv_rows)
+    @example([(1, 0.1, -0.0), (2, 5e-324, math.inf), (3, -math.inf, math.nan)])
+    @example([(np.float64(3.9), 500, 0.25, 0.5, "aperiodic", -0.01)] * 3)
+    @example([("a,b",), ("",), ('say "hi"',), ("two\nlines", 1), ("cr\rhere", 2.5)])
+    @example([(10**30, -(10**35))])
+    @example([()])
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_reference(self, tmp_path_factory, rows):
+        header = ["a", "b,c", "d"]
+        expected = reference_csv(header, rows)
+        assert render_csv(header, rows) == expected
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, iter(rows))
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_labels_needing_quotes_are_quoted_like_csv_writer(self):
+        rows = [(float(i), label) for i, label in enumerate(AWKWARD_LABELS)]
+        text = render_csv(["v", "label"], rows)
+        assert text == reference_csv(["v", "label"], rows)
+        assert '0,"a,b"\n' in text and '1,"say ""hi"""\n' in text
+
+    def test_streams_more_rows_than_one_chunk(self, tmp_path, monkeypatch):
+        from ecokmap import csvio
+
+        monkeypatch.setattr(csvio, "CHUNK_ROWS", 7)
+        rows = [(i, i / 7, "aperiodic" if i % 3 else "period-2") for i in range(50)]
+        write_csv(tmp_path / "t.csv", ["n", "v", "p"], rows)
+        assert (tmp_path / "t.csv").read_text() == reference_csv(["n", "v", "p"], rows)
+
+    @pytest.mark.parametrize("rows", [[(1, True)], [(1, 2.0), (2, False)]])
+    def test_bool_rejected(self, tmp_path, rows):
+        with pytest.raises(TypeError, match="bool"):
+            render_csv(["n", "v"], rows)
+        with pytest.raises(TypeError, match="bool"):
+            write_csv(tmp_path / "t.csv", ["n", "v"], rows)
+
+
+class ReferenceAxes(svgplot._Axes):
+    """The axis ranges from Python min/max over the finite values."""
+
+    def __init__(self, xs, ys):
+        fx = [v for v in xs if math.isfinite(v)]
+        fy = [v for v in ys if math.isfinite(v)]
+        self.x_lo, self.x_hi = svgplot._pad_range(min(fx, default=0.0), max(fx, default=1.0))
+        self.y_lo, self.y_hi = svgplot._pad_range(min(fy, default=0.0), max(fy, default=1.0))
+
+
+def reference_svg(kind, xs, ys, values=None, radius=1.2):
+    """The plot as built one point at a time from scalar px/py calls."""
+    ax = ReferenceAxes(xs, ys)
+    fmt = svgplot._fmt
+    parts = svgplot._header("t") + svgplot._axes_elems(ax, "x", "y")
+    if kind == "line":
+        coords = " ".join(f"{fmt(ax.px(x))},{fmt(ax.py(y))}" for x, y in zip(xs, ys))
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
+        )
+    if kind in ("line", "scatter"):
+        for x, y in zip(xs, ys):
+            parts.append(
+                f'<circle class="d" cx="{fmt(ax.px(x))}" cy="{fmt(ax.py(y))}" '
+                f'r="{fmt(radius)}" fill="#1f5fa8"/>'
+            )
+    else:
+        ux, uy = sorted(set(xs)), sorted(set(ys))
+        dx = min((b - a for a, b in zip(ux, ux[1:])), default=1.0)
+        dy = min((b - a for a, b in zip(uy, uy[1:])), default=1.0)
+        finite = [v for v in values if not math.isnan(v)]
+        v_lo, v_hi = min(finite, default=-1.0), max(finite, default=1.0)
+        w = abs(ax.px(dx) - ax.px(0.0))
+        h = abs(ax.py(dy) - ax.py(0.0))
+        for x, y, v in zip(xs, ys, values):
+            parts.append(
+                f'<rect class="d" x="{fmt(ax.px(x) - w / 2)}" y="{fmt(ax.py(y) - h / 2)}" '
+                f'width="{fmt(w)}" height="{fmt(h)}" '
+                f'fill="{svgplot._heat_color(v, v_lo, v_hi)}"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def render(kind, xs, ys, values=None, radius=1.2):
+    labels = dict(xlabel="x", ylabel="y", title="t")
+    if kind == "heatmap":
+        return heatmap_svg(xs, ys, values, **labels)
+    plot = line_svg if kind == "line" else scatter_svg
+    return plot(xs, ys, radius=radius, **labels)
+
+
+svg_coords = st.floats(min_value=-1e6, max_value=1e6) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0]
+)
+
+
+class TestSvgAgainstScalarReference:
+    @pytest.mark.parametrize("kind", ["scatter", "line", "heatmap"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_reference(self, kind, data):
+        n = data.draw(st.integers(min_value=0, max_value=40))
+        xs = data.draw(st.lists(svg_coords, min_size=n, max_size=n))
+        ys = data.draw(st.lists(svg_coords, min_size=n, max_size=n))
+        values = data.draw(st.lists(svg_coords, min_size=n, max_size=n))
+        assert render(kind, xs, ys, values) == reference_svg(kind, xs, ys, values)
+
+    @pytest.mark.parametrize("kind", ["scatter", "line", "heatmap"])
+    @pytest.mark.parametrize(
+        "xs,ys",
+        [
+            ([0.5], [0.25]),  # a single point
+            ([5e-324], [0.0]),  # a single subnormal point: its 10% pad underflows
+            ([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]),  # a constant series
+            ([0.0, 0.0], [-0.0, 0.0]),  # signed zeros: ranges from Python min/max
+            ([math.nan, 0.1, 0.2], [0.3, math.nan, 0.4]),  # NaN coordinates
+            ([1, 2, 3, 4], [0.5, -0.25, 0.125, 2.0]),  # int x, as lyapunov's n column
+        ],
+    )
+    def test_edge_cases(self, kind, xs, ys):
+        assert render(kind, xs, ys, ys) == reference_svg(kind, xs, ys, ys)
+
+    def test_array_input_matches_list_input(self):
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(500, 2))
+        for kind in ("scatter", "line"):
+            got = render(kind, pts[:, 0], pts[:, 1], radius=2.0)
+            assert got == reference_svg(kind, *pts.T.tolist(), radius=2.0)

@@ -228,3 +228,63 @@ class TestDetectPeriod:
         diffs = np.abs(tail[:-j] - tail[j:]).max(axis=1)
         scale = 1.0 + np.abs(tail[:-j]).max(axis=1)
         assert np.all(diffs <= 1e-6 * scale)
+
+
+def reference_period(tail, max_period, period_tol):
+    """detect_period's definition, tested row by row on every candidate."""
+    rows = tail.tolist()
+    n = len(rows)
+    for k in range(1, min(max_period, n - 1) + 1):
+        if all(
+            max(abs(rows[i][0] - rows[i + k][0]), abs(rows[i][1] - rows[i + k][1]))
+            <= period_tol * (1.0 + max(abs(rows[i][0]), abs(rows[i][1])))
+            for i in range(n - k)
+        ):
+            return Settled(k)
+    return Aperiodic()
+
+
+coords = st.floats(min_value=-2, max_value=2, allow_nan=False)
+tolerances = st.sampled_from([0.0, 1e-9, 1e-6, 1e-2])
+
+
+@st.composite
+def late_breaking_tails(draw):
+    """A tiled block, periodic on at least its first 64 rows, with one row
+    changed at or after row 64 (or nowhere)."""
+    block = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=8))
+    n = draw(st.integers(min_value=65, max_value=200))
+    tail = np.array((block * n)[:n])
+    where = draw(st.none() | st.integers(min_value=64, max_value=n - 1))
+    if where is not None:
+        col = draw(st.integers(min_value=0, max_value=1))
+        tail[where, col] += draw(st.sampled_from([1e-12, 1e-7, 1e-5, 0.5]))
+    return tail
+
+
+class TestDetectPeriodReference:
+    """detect_period against an exhaustive row-by-row reference."""
+
+    @given(late_breaking_tails(), st.integers(min_value=1, max_value=70), tolerances)
+    @settings(max_examples=150, deadline=None)
+    def test_tails_breaking_after_the_prefix(self, tail, max_period, period_tol):
+        assert detect_period(tail, max_period, period_tol) == reference_period(
+            tail, max_period, period_tol
+        )
+
+    @given(
+        st.lists(st.tuples(coords, coords), min_size=1, max_size=65),
+        st.integers(min_value=1, max_value=70),
+        tolerances,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_short_tails(self, rows, max_period, period_tol):
+        tail = np.array(rows)
+        assert detect_period(tail, max_period, period_tol) == reference_period(
+            tail, max_period, period_tol
+        )
+
+    def test_break_in_last_row(self):
+        tail = np.tile([[0.1, 0.9], [0.8, 0.2]], (50, 1))
+        tail[-1, 1] += 1e-3
+        assert detect_period(tail) == reference_period(tail, 64, 1e-6) == Aperiodic()
