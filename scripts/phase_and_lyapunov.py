@@ -26,10 +26,9 @@ def main(out_dir="results"):
     out.mkdir(parents=True, exist_ok=True)
     for name, p in CASES:
         rec = iterate(p, START, 600, 500)
-        rows = rec.rows()
-        write_csv(out / f"phase_{name}.csv", ["n", "x", "y"], rows)
+        write_csv(out / f"phase_{name}.csv", ["n", "x", "y"], rec.rows())
         svg = scatter_svg(
-            [r[1] for r in rows], [r[2] for r in rows],
+            rec.tail[:, 0], rec.tail[:, 1],
             xlabel="x", ylabel="y", radius=2.0,
             title=f"phase portrait ({name}), c2={p.c2:g}, c3={p.c3:g}, r2={p.r2:g}",
         )

@@ -5,7 +5,6 @@ exponent pairs, runs bifurcation sweeps and (c2, c3) chaos grids, and
 emits CSV data plus SVG plots via the `ecokmap` CLI.
 """
 
-from . import _kernels
 from .config import Budgets, ConfigError, GridBlock, RunConfig, SweepBlock, parse_config, serialize_config
 from .dynamics import (
     Jacobian2,
@@ -41,16 +40,7 @@ from .sweep import (
 __version__ = "0.1.0"
 
 
-def backend() -> str:
-    """Backend of the scalar kernels: "numba" when compiled, else "python".
-
-    Sweeps and grids run as numpy lanes on either backend.
-    """
-    return "numba" if _kernels.HAVE_NUMBA else "python"
-
-
 __all__ = [
-    "backend",
     "ModelParams",
     "State",
     "Jacobian2",

@@ -1,21 +1,20 @@
 """Inner loops for orbit iteration and Lyapunov accumulation.
 
-These are the only hot paths in the package.  orbit_kernel and
-lyapunov_kernel are scalar kernels for one orbit; with numba available
-they are JIT-compiled, without it they run as plain Python.  Their frame
-loops work on plain floats (math.sqrt is correctly rounded, like
+These are the only hot paths in the package, all plain Python + numpy.
+orbit_kernel and lyapunov_kernel are scalar kernels for one orbit.  Their
+frame loops work on plain floats (math.sqrt is correctly rounded, like
 np.sqrt); lyapunov_kernel stores the per-step norms and takes their logs
-afterwards, as one array np.log, followed by a cumulative sum (a
-sequential add, so bitwise the running accumulation).  The backends are
-not promised to agree bitwise (compiled np.log is libm's).
+afterwards, as one array np.log (math.log is not bitwise np.log),
+followed by a cumulative sum (a sequential add, so bitwise the running
+accumulation).
 
 lane_kernel is the sweep engine: it evaluates many parameter points at
-once as numpy lanes, never compiled.  Each lane runs the exact operation
-sequence of orbit_kernel followed by lyapunov_kernel, with the same array
-np.log and the same escape predicate (_inside), so on the python backend
-a lane equals those two kernels bitwise, and a lane's result never
-depends on which other lanes share its batch.  tests/test_lanes.py pins
-this against iterate + lyapunov_spectrum.
+once as numpy lanes.  Each lane runs the exact operation sequence of
+orbit_kernel followed by lyapunov_kernel, with the same array np.log and
+the same escape predicate (_inside), so a lane equals those two kernels
+bitwise, and a lane's result never depends on which other lanes share
+its batch.  tests/test_lanes.py pins this against iterate +
+lyapunov_spectrum.
 
 The step and Jacobian expressions here repeat dynamics.step and
 dynamics.jacobian; tests/test_lyapunov.py::TestKernelFormulas and
@@ -27,31 +26,18 @@ import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(**kwargs):
-        return lambda fn: fn
-
-
 # Stand-in for log(0) when a tangent vector collapses exactly; roughly
 # log of the smallest subnormal double.  Final exponents are floored far
 # above this, so the precise value never shows through.
 LOG_ZERO = -745.0
 
 
-@njit(cache=True, nogil=True, inline="always")
 def _step_xy(r1, r2, c1, c2, c3, c4, x, y):
     xn = x * r1 * (1.0 - c1 * x - c2 * y)
     yn = y * r2 * (1.0 - c3 * x - c4 * y)
     return xn, yn
 
 
-@njit(cache=True, nogil=True, inline="always")
 def _inside(x, y, threshold):
     """Not escaped: both components within threshold (False for NaN).
 
@@ -59,14 +45,12 @@ def _inside(x, y, threshold):
     return (abs(x) <= threshold) & (abs(y) <= threshold)
 
 
-@njit(cache=True, nogil=True)
 def _log_norms(norms):
     """log of each norm, LOG_ZERO where it is not positive."""
     pos = norms > 0.0
     return np.where(pos, np.log(np.where(pos, norms, 1.0)), LOG_ZERO)
 
 
-@njit(cache=True, nogil=True)
 def _ordered(a, b, floor):
     """The larger and the smaller of each pair of running means, floored."""
     ge = a >= b
@@ -75,7 +59,6 @@ def _ordered(a, b, floor):
     return np.where(hi > floor, hi, floor), np.where(lo > floor, lo, floor)
 
 
-@njit(cache=True, nogil=True)
 def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold, out):
     """Iterate the map n_total times, recording states after the transient.
 
@@ -98,7 +81,6 @@ def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold
     return n_rec, False, 0
 
 
-@njit(cache=True, nogil=True)
 def lyapunov_kernel(
     r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_iter, threshold, floor, lam1_series, lam2_series
 ):
@@ -173,20 +155,9 @@ def lyapunov_kernel(
     return s1[-1], s2[-1], n_used, escaped, at_step
 
 
-def _plain(fn):
-    """The plain-Python function behind a kernel helper; lane_kernel
-    applies these to whole lane arrays."""
-    return getattr(fn, "py_func", fn)
-
-
-_step_lanes, _inside_lanes, _log_norms_lanes, _ordered_lanes = map(
-    _plain, (_step_xy, _inside, _log_norms, _ordered)
-)
-
-
 def _lambda1(acc1, acc2, n_used, floor):
     """lyapunov_kernel's final lambda1 from its two accumulators, per lane."""
-    return _ordered_lanes(acc1 / n_used, acc2 / n_used, floor)[0]
+    return _ordered(acc1 / n_used, acc2 / n_used, floor)[0]
 
 
 def _zero_norm_update(norm, vx, vy, fx, fy, acc):
@@ -198,7 +169,7 @@ def _zero_norm_update(norm, vx, vy, fx, fy, acc):
     pos = norm > 0.0
     qx = np.where(pos, vx / norm, fx)
     qy = np.where(pos, vy / norm, fy)
-    return qx, qy, acc + _log_norms_lanes(norm)
+    return qx, qy, acc + _log_norms(norm)
 
 
 # A lane may overflow on the step that escapes it, and zero-norm lanes
@@ -278,8 +249,8 @@ def lane_kernel(
             else:
                 q2x, q2y, acc2 = _zero_norm_update(n2, wx, wy, -q1y, q1x, acc2)
 
-        xn, yn = _step_lanes(r1, r2, c1, c2, c3, c4, x, y)
-        ok = _inside_lanes(xn, yn, threshold)
+        xn, yn = _step_xy(r1, r2, c1, c2, c3, c4, x, y)
+        ok = _inside(xn, yn, threshold)
         if not ok.all():
             gone = ~ok
             ids = live[gone]

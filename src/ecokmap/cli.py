@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--transient", type=int, default=None, help="override the transient length"
             )
+        if name not in ("fixed-points", "lyapunov"):
             cmd.add_argument(
                 "--seed-tolerance",
                 type=float,
@@ -89,39 +90,47 @@ def _pick(override, fallback):
     return fallback if override is None else override
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
+def _write(out_dir: Path, name: str, content, rows=None) -> None:
+    """Write out_dir/name and report it: `content` is the file's text or,
+    with `rows`, the CSV header."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(text, encoding="ascii")
+    if rows is None:
+        path.write_text(content, encoding="ascii")
+    else:
+        write_csv(path, content, rows)
     print(f"wrote {path}")
-    return path
 
 
-def _write_rows(out_dir: Path, name: str, header, rows) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    write_csv(path, header, rows)
-    print(f"wrote {path}")
-    return path
+def _cmd_orbit(
+    cfg: RunConfig, args, out_dir: Path, stem: str, transient: int, record: int, plot
+) -> int:
+    """simulate and phase: iterate one orbit, write <stem>.csv and print its
+    outcome; with --plot also <stem>.svg, drawn by plot(rec, outcome label)."""
+    transient = _pick(args.transient, transient)
+    record = _pick(args.steps, record)
+    tol = _pick(args.seed_tolerance, PERIOD_TOL)
+    rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
+    _write(out_dir, f"{stem}.csv", ["n", "x", "y"], rec.rows())
+    label = outcome_label(rec.outcome)
+    print(f"outcome: {label}")
+    if args.plot:
+        _write(out_dir, f"{stem}.svg", plot(rec, label))
+    return EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
-    transient = _pick(args.transient, cfg.budgets.transient)
-    record = _pick(args.steps, cfg.budgets.record)
-    tol = _pick(args.seed_tolerance, PERIOD_TOL)
-    rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
-    _write_rows(out_dir, "orbit.csv", ["n", "x", "y"], rec.rows())
-    print(f"outcome: {outcome_label(rec.outcome)}")
-    if args.plot:
-        svg = line_svg(
+    def plot(rec, label):
+        return line_svg(
             rec.tail[:, 0],
             rec.tail[:, 1],
             xlabel="x",
             ylabel="y",
-            title=f"orbit tail, r2={cfg.params.r2:g} ({outcome_label(rec.outcome)})",
+            title=f"orbit tail, r2={cfg.params.r2:g} ({label})",
         )
-        _write(out_dir, "orbit.svg", svg)
-    return EXIT_OK
+
+    budgets = cfg.budgets
+    return _cmd_orbit(cfg, args, out_dir, "orbit", budgets.transient, budgets.record, plot)
 
 
 def cmd_fixed_points(cfg: RunConfig, args, out_dir: Path) -> int:
@@ -146,7 +155,7 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
     )
     result = bifurcation_sweep(spec, workers=args.workers)
     header, rows = bifurcation_table(result)
-    _write_rows(out_dir, "bifurcation.csv", header, rows)
+    _write(out_dir, "bifurcation.csv", header, rows)
     if args.plot:
         svg = scatter_svg(
             [r[0] for r in rows],
@@ -166,7 +175,7 @@ def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
     stride = max(1, n_iter // 1000)
     series = lambda_series(result, stride)
     rows = [(int(n), l1, l2) for n, l1, l2 in series.tolist()]
-    _write_rows(out_dir, "lyapunov.csv", ["n", "lambda1", "lambda2"], rows)
+    _write(out_dir, "lyapunov.csv", ["n", "lambda1", "lambda2"], rows)
     print(
         f"lambda1={result.lambda1:.6g} lambda2={result.lambda2:.6g} "
         f"n_used={result.n_used} escaped={str(result.escaped).lower()}"
@@ -202,7 +211,7 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
     )
     result = chaos_grid(spec, workers=args.workers)
     rows = [(c.c2, c.c3, c.r2, c.lambda1, c.label) for c in result.cells]
-    _write_rows(out_dir, "chaos_grid.csv", ["c2", "c3", "r2", "lambda1", "label"], rows)
+    _write(out_dir, "chaos_grid.csv", ["c2", "c3", "r2", "lambda1", "label"], rows)
     if args.plot:
         for i, r2 in enumerate(spec.r2_values):
             cells = [c for c in result.cells if c.r2 == r2]
@@ -220,15 +229,9 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_phase(cfg: RunConfig, args, out_dir: Path) -> int:
-    transient = _pick(args.transient, PHASE_TRANSIENT)
-    record = _pick(args.steps, PHASE_RECORD)
-    tol = _pick(args.seed_tolerance, PERIOD_TOL)
-    rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
-    _write_rows(out_dir, "phase.csv", ["n", "x", "y"], rec.rows())
-    print(f"outcome: {outcome_label(rec.outcome)}")
-    if args.plot:
+    def plot(rec, label):
         last = rec.first_index + len(rec.tail) - 1
-        svg = scatter_svg(
+        return scatter_svg(
             rec.tail[:, 0],
             rec.tail[:, 1],
             xlabel="x",
@@ -236,8 +239,8 @@ def cmd_phase(cfg: RunConfig, args, out_dir: Path) -> int:
             title=f"phase portrait, iterations {rec.first_index}..{last}",
             radius=2.0,
         )
-        _write(out_dir, "phase.svg", svg)
-    return EXIT_OK
+
+    return _cmd_orbit(cfg, args, out_dir, "phase", PHASE_TRANSIENT, PHASE_RECORD, plot)
 
 
 _COMMANDS = {

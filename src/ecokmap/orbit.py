@@ -9,6 +9,7 @@ at the step where it was detected and never stores a non-finite state.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,11 @@ class OrbitRecord:
         """Global iteration index of tail[0]."""
         return self.transient_len + 1
 
-    def rows(self) -> list[tuple[int, float, float]]:
-        """(n, x, y) per tail state, n the global iteration index, as Python numbers."""
+    def rows(self) -> Iterator[tuple[int, float, float]]:
+        """(n, x, y) per tail state, n the global iteration index, as Python
+        numbers; a one-pass iterator, so a CSV writer can stream it."""
         xs, ys = self.tail.T.tolist()
-        return list(zip(range(self.first_index, self.first_index + len(xs)), xs, ys))
+        return zip(range(self.first_index, self.first_index + len(xs)), xs, ys)
 
 
 def check_period_tol(period_tol: float) -> None:

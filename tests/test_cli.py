@@ -193,6 +193,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "period_tol" in err and f"got {float(tol)!r}" in err
 
+    @pytest.mark.parametrize("command", ["lyapunov", "fixed-points"])
+    @pytest.mark.parametrize("tol", ["-1", "1e-6"])
+    def test_seed_tolerance_without_period_detection_is_1(
+        self, config_path, tmp_path, capsys, command, tol
+    ):
+        assert run(
+            command, "--config", config_path(BASE), "--out", str(tmp_path / "o"),
+            "--seed-tolerance", tol,
+        ) == 1
+        assert "unrecognized arguments: --seed-tolerance" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["bifurcate", "chaos-grid"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_2(self, config_path, tmp_path, capsys, command, workers):

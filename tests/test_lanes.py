@@ -4,7 +4,7 @@ The oracle evaluates one point with the public scalar path: `iterate` for
 the orbit record (an orbit that escapes during its transient keeps its
 last finite state as a single marker row) and `lyapunov_spectrum` for
 lambda1, with EscapedTooEarly mapped to NaN.  The engine must reproduce
-its lambda1, tail and outcome bit for bit on the python backend.
+its lambda1, tail and outcome bit for bit.
 
 Escape steps are placed with the engineered family of tests/test_orbit.py:
 from (0.5, 1e-3), ModelParams(2, r2, 1, 0, 4, 0) keeps x = 0.5 exactly and
@@ -75,9 +75,6 @@ def escape_step(p, s0, limit):
     return out.at_step if isinstance(out, Escaped) else None
 
 
-@pytest.mark.skipif(
-    _kernels.HAVE_NUMBA, reason="compiled np.log lowers to libm; the pin is for the python backend"
-)
 class TestAgainstOracle:
     def test_escape_at_every_stage(self):
         n_tr, n_rec, n_lyap = 40, 30, 300

@@ -231,9 +231,6 @@ def benettin_reference(p, s0, n_transient, n_iter, floor):
     return np.array(lam1), np.array(lam2)
 
 
-@pytest.mark.skipif(
-    _kernels.HAVE_NUMBA, reason="compiled np.log lowers to libm; the pin is for the python backend"
-)
 class TestKernelFormulas:
     @pytest.mark.parametrize(
         "p, s0",

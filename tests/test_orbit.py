@@ -101,7 +101,7 @@ class TestDeterminism:
         assert a == b
 
     def test_kernel_reproduces_reference_step_bitwise(self):
-        # The compiled kernel and the pure-Python step must generate the
+        # The orbit kernel and dynamics.step must generate the
         # same chaotic orbit bit for bit; several cross-module oracles
         # (Lyapunov sum rule, 1-D reduction) rest on this.
         p = ModelParams(3, 3.9, 1.8, 0.6, 0.6, 2.5)
@@ -111,55 +111,6 @@ class TestDeterminism:
         for x, y in rec.tail:
             cur = step(p, cur)
             assert (cur.x, cur.y) == (x, y)
-
-
-class TestKernelFallback:
-    def test_pure_python_fallback_matches_compiled_kernels(self, monkeypatch):
-        pytest.importorskip("numba")
-        import importlib
-        import sys
-
-        import numpy as np
-
-        from ecokmap import _kernels
-
-        p = ModelParams(3, 3.9, 1.8, 0.6, 0.6, 2.5)
-        args = (p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1)
-
-        out_jit = np.empty((300, 2))
-        res_jit = _kernels.orbit_kernel(*args, 500, 200, 1e6, out_jit)
-        l1_jit = np.empty(400)
-        l2_jit = np.empty(400)
-        lyap_jit = _kernels.lyapunov_kernel(*args, 200, 400, 1e6, -50.0, l1_jit, l2_jit)
-
-        monkeypatch.setitem(sys.modules, "numba", None)  # force ImportError
-        importlib.reload(_kernels)
-        try:
-            assert not _kernels.HAVE_NUMBA
-            out_py = np.empty((300, 2))
-            res_py = _kernels.orbit_kernel(*args, 500, 200, 1e6, out_py)
-            l1_py = np.empty(400)
-            l2_py = np.empty(400)
-            lyap_py = _kernels.lyapunov_kernel(*args, 200, 400, 1e6, -50.0, l1_py, l2_py)
-        finally:
-            monkeypatch.undo()
-            importlib.reload(_kernels)
-        assert _kernels.HAVE_NUMBA
-
-        assert res_py == res_jit
-        np.testing.assert_array_equal(out_py, out_jit)
-        assert tuple(lyap_py) == tuple(lyap_jit)
-        np.testing.assert_array_equal(l1_py, l1_jit)
-        np.testing.assert_array_equal(l2_py, l2_jit)
-
-
-class TestBackend:
-    def test_names_the_scalar_kernel_backend(self):
-        import ecokmap
-        from ecokmap import _kernels
-
-        assert ecokmap.backend() == ("numba" if _kernels.HAVE_NUMBA else "python")
-        assert "backend" in ecokmap.__all__
 
 
 class TestDetectPeriod:
