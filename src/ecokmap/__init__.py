@@ -5,6 +5,7 @@ exponent pairs, runs bifurcation sweeps and (c2, c3) chaos grids, and
 emits CSV data plus SVG plots via the `ecokmap` CLI.
 """
 
+from ._kernels import backend
 from .config import Budgets, ConfigError, GridBlock, RunConfig, SweepBlock, parse_config, serialize_config
 from .dynamics import (
     Jacobian2,
@@ -41,6 +42,7 @@ __version__ = "0.1.0"
 
 
 __all__ = [
+    "backend",
     "ModelParams",
     "State",
     "Jacobian2",

@@ -23,6 +23,7 @@ MARGIN_T = 34.0
 MARGIN_B = 48.0
 N_TICKS = 5
 PAD_FRACTION = 0.05  # 5% margin around the data range
+CHUNK_POINTS = 4096  # line-chart points formatted and joined at a time
 
 
 def _fmt(v: float) -> str:
@@ -149,13 +150,23 @@ def line_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.
     (class "d") per point."""
     xs, ys = _coords(xs), _coords(ys)
     ax = _Axes(xs, ys)
-    circles = _CIRCLE.format(r=_fmt(radius)).__mod__
+    pxs, pys = ax.px(xs), ax.py(ys)
+    # Each pair is formatted once, as "x,y", for the polyline; a circle
+    # takes the same text with the comma replaced.  Circles are joined a
+    # chunk at a time, so no list of one string per point is held.
+    c_open, c_close = _CIRCLE.format(r=_fmt(radius)).split('%.2f" cy="%.2f')
+    c_sep = c_close + "\n" + c_open
+    polyline, circles = [], []
+    for start in range(0, len(xs), CHUNK_POINTS):
+        chunk = slice(start, start + CHUNK_POINTS)
+        pairs = list(map("%.2f,%.2f".__mod__, zip(pxs[chunk].tolist(), pys[chunk].tolist())))
+        polyline.append(" ".join(pairs))
+        circles.append(c_open + c_sep.join(pairs).replace(",", '" cy="') + c_close)
     parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
-    coords = " ".join(map("%.2f,%.2f".__mod__, ax.points(xs, ys)))
     parts.append(
-        f'<polyline points="{coords}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
+        f'<polyline points="{" ".join(polyline)}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
     )
-    parts.extend(map(circles, ax.points(xs, ys)))
+    parts.extend(circles)
     parts.append("</svg>\n")
     return "\n".join(parts)
 

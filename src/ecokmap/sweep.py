@@ -1,11 +1,13 @@
 """Batch engine: one-parameter bifurcation sweeps and (c2, c3) chaos grids.
 
 Every point of a sweep or grid (orbit tail + period label + largest
-Lyapunov exponent) is evaluated as one numpy lane of
-_kernels.lane_kernel, LANE_BLOCK lanes per call.  A lane's result depends
-only on its own inputs, so results are bitwise identical whatever the grid
-size, block size or worker count; tests/test_lanes.py pins each lane
-against iterate + lyapunov_spectrum.
+Lyapunov exponent) is evaluated by one call of _kernels.point_loop, which
+iterates its transient once and then records the tail and the frame norms
+in shared steps; lambda1 is taken from the norms in numpy.  A point's
+result depends only on its own inputs, so results are bitwise identical
+whatever the grid size, point order or worker count;
+tests/test_lanes.py pins each point against iterate + lyapunov_spectrum
+on both kernel backends.
 """
 from __future__ import annotations
 
@@ -46,8 +48,6 @@ __all__ = [
 ]
 
 SWEEPABLE_PARAMETERS = ("r1", "r2", "c1", "c2", "c3", "c4")
-# Points per lane_kernel call; bounds the engine's working memory.
-LANE_BLOCK = 1024
 
 
 def grid_values(lo: float, hi: float, n_points: int) -> np.ndarray:
@@ -123,8 +123,8 @@ def _check_workers(workers: int | None) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _record(spec, tail: np.ndarray, at_step: int, last: np.ndarray) -> OrbitRecord:
-    """Orbit record of one lane: its recorded tail, or its escape outcome."""
+def _record(spec, tail: np.ndarray, at_step: int, last: tuple[float, float]) -> OrbitRecord:
+    """Orbit record of one point: its recorded tail, or its escape outcome."""
     if not 0 < at_step <= spec.n_transient + spec.n_record:
         outcome = orbit.detect_period(tail, spec.max_period, spec.period_tol)
         return OrbitRecord(spec.s0, spec.n_transient, tail, outcome)
@@ -132,23 +132,29 @@ def _record(spec, tail: np.ndarray, at_step: int, last: np.ndarray) -> OrbitReco
     if len(tail) == 0 and at_step > 1:
         # Escape during the transient: keep the last pre-escape state as a
         # single marker row so output carries a marker instead of a blank gap.
-        transient_len, tail = at_step - 2, last[None]
+        transient_len, tail = at_step - 2, np.array([last])
     return OrbitRecord(spec.s0, transient_len, tail, Escaped(at_step))
 
 
 def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, float]]:
-    """Yield (orbit record, lambda1) per parameter point, LANE_BLOCK lanes at a time."""
-    for start in range(0, len(params), LANE_BLOCK):
-        block = params[start : start + LANE_BLOCK]
-        lanes = [[getattr(p, f) for p in block] for f in SWEEPABLE_PARAMETERS]
-        tail, n_rec, at_step, last, lam1 = _kernels.lane_kernel(
-            *lanes,
-            spec.s0.x, spec.s0.y,
-            spec.n_transient, spec.n_record, spec.n_lyap,
-            ESCAPE_THRESHOLD, LAMBDA_FLOOR, MIN_STEPS,
+    """Yield (orbit record, lambda1) per parameter point, one point loop each.
+
+    One tail buffer and one pair of norm buffers serve every point: the
+    record copies its tail, and lambda1 is taken before the next point runs.
+    """
+    tail = np.empty((spec.n_record, 2))
+    norm1, norm2 = np.empty(spec.n_lyap), np.empty(spec.n_lyap)
+    for p in params:
+        n_rec, n_used, at_step, x, y = _kernels.point_loop(
+            p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, spec.s0.x, spec.s0.y,
+            spec.n_transient, spec.n_record, spec.n_lyap, ESCAPE_THRESHOLD, tail, norm1, norm2,
         )
-        for k in range(len(block)):
-            yield _record(spec, tail[k, : n_rec[k]], int(at_step[k]), last[k]), float(lam1[k])
+        lam1 = (
+            _kernels.final_lambda1(norm1[:n_used], norm2[:n_used], LAMBDA_FLOOR)
+            if n_used >= MIN_STEPS
+            else math.nan
+        )
+        yield _record(spec, tail[:n_rec], at_step, (x, y)), lam1
 
 
 def bifurcation_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:

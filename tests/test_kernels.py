@@ -1,0 +1,274 @@
+"""The point loop: compiled against Python bitwise, its loader, its cost.
+
+Both loops take the same arguments and fill the same buffers; every
+output (escape step, last finite state, tail rows, norm pairs) must agree
+bit for bit, and neither may write outside its windows.  The loader tests
+point _kernels at an empty cache in a temporary directory and resolve the
+loop anew, so they never touch the package's own cache.
+"""
+import functools
+import math
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+import ecokmap
+from ecokmap import _kernels
+from ecokmap.dynamics import ModelParams, State
+from ecokmap.lyapunov import MIN_STEPS, lyapunov_spectrum
+from ecokmap.orbit import ESCAPE_THRESHOLD, iterate
+from ecokmap.sweep import SweepSpec, bifurcation_sweep
+
+SRC = Path(ecokmap.__file__).parents[1]
+REF = ModelParams(3.0, 3.9, 1.8, 0.6, 0.6, 2.5)
+ESCAPE_S0 = (0.5, 1e-3)
+SENTINEL = -1.5  # buffer filler: no loop may write outside its windows
+
+
+def escaping_at(k: int) -> ModelParams:
+    """From ESCAPE_S0, x stays 0.5 and y is multiplied by -r2 each step, so
+    this member of the family escapes at step k (k >= 16)."""
+    return ModelParams(2, 1e9 ** (1 / (k - 0.5)), 1, 0, 4, 0)
+
+
+@pytest.fixture(scope="module")
+def compiled_loop():
+    loop = _kernels._loop()
+    if loop is _kernels._py_loop:
+        pytest.skip("no C compiler: the compiled point loop is not available")
+    return loop
+
+
+def outputs(loop, p, s0, n_tr, n_rec, n_lyap):
+    tail = np.full((n_rec, 2), SENTINEL)
+    norms = np.full((2, n_lyap), SENTINEL)
+    at_step, x, y = loop(
+        p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, *s0, n_tr, n_rec, n_lyap,
+        ESCAPE_THRESHOLD, tail, *norms,
+    )
+    last = np.array([x, y]).tobytes()
+    return at_step, last, tail.tobytes(), norms.tobytes()
+
+
+def assert_loops_agree(compiled, p, s0, n_tr, n_rec, n_lyap):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = outputs(_kernels._py_loop, p, s0, n_tr, n_rec, n_lyap)
+        got = outputs(compiled, p, s0, n_tr, n_rec, n_lyap)
+    assert got == want
+    return got[0]
+
+
+class TestCompiledAgainstPython:
+    N_TR, N_REC, N_LYAP = 20, 30, 300
+
+    @pytest.mark.parametrize(
+        "p, s0, n_tr, n_rec, n_lyap, at_step",
+        [
+            # y0 = 5e5 times -r2: r2 = 4 escapes at step 1; at r2 = 2,
+            # |y| = 1e6 exactly is not beyond the bound, so step 2 escapes.
+            pytest.param(replace(escaping_at(100), r2=4.0), (0.5, 5e5), 5, 10, 200, 1, id="step-1"),
+            pytest.param(replace(escaping_at(100), r2=2.0), (0.5, 5e5), 5, 10, 200, 2, id="1e6"),
+            pytest.param(escaping_at(16), ESCAPE_S0, N_TR, N_REC, N_LYAP, 16, id="transient"),
+            pytest.param(
+                escaping_at(N_TR + 10), ESCAPE_S0, N_TR, N_REC, N_LYAP, N_TR + 10, id="record"
+            ),
+            pytest.param(
+                escaping_at(N_TR + 180), ESCAPE_S0, N_TR, 250, 120, N_TR + 180, id="record-only"
+            ),
+            pytest.param(
+                escaping_at(N_TR + 200), ESCAPE_S0, N_TR, N_REC, N_LYAP, N_TR + 200, id="lyapunov"
+            ),
+            pytest.param(
+                escaping_at(N_TR + MIN_STEPS - 1), ESCAPE_S0, N_TR, N_REC, N_LYAP,
+                N_TR + MIN_STEPS - 1, id="min-steps-less-1",
+            ),
+            pytest.param(REF, (math.nan, 0.1), 0, 5, 100, 1, id="nan"),
+            # x = 1e300 overflows to -inf on the first step, silently.
+            pytest.param(
+                ModelParams(4.0, 2.0, 0.1, 0, 0, 0.1), (1e300, 0.1), 0, 5, 100, 1, id="overflow"
+            ),
+            # r2 = 0 collapses the second frame vector every step; r1 = r2 = 0
+            # makes every Jacobian zero, so both norms are zero.
+            pytest.param(replace(REF, r2=0.0), (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="r2-zero"),
+            pytest.param(
+                ModelParams(0, 0, 1, 1, 1, 1), (0.7, 0.3), N_TR, N_REC, N_LYAP, 0, id="r1-r2-zero"
+            ),
+            pytest.param(REF, (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="chaotic"),
+        ],
+    )
+    def test_engineered_cases(self, compiled_loop, p, s0, n_tr, n_rec, n_lyap, at_step):
+        assert assert_loops_agree(compiled_loop, p, s0, n_tr, n_rec, n_lyap) == at_step
+
+    def test_zero_norms_take_their_branches(self, compiled_loop):
+        for p, zero_rows in ((replace(REF, r2=0.0), [1]), (ModelParams(0, 0, 1, 1, 1, 1), [0, 1])):
+            norms = np.empty((2, 50))
+            at_step, *_ = compiled_loop(
+                p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, 10, 0, 50, ESCAPE_THRESHOLD,
+                None, *norms,
+            )
+            assert at_step == 0
+            for row in zero_rows:
+                assert not norms[row].any()
+
+    @given(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+            st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+            *[st.one_of(st.just(0.0), st.floats(0.0, 3.0))] * 4,
+        ),
+        st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, 1e6, -1e6, 1e300])),
+        st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, 5e5, -1e6, 1e300])),
+        st.integers(0, 60),
+        st.integers(0, 40),
+        st.integers(0, MIN_STEPS + 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_points(self, compiled_loop, row, x0, y0, n_tr, n_rec, n_lyap):
+        assert_loops_agree(compiled_loop, ModelParams(*row), (x0, y0), n_tr, n_rec, n_lyap)
+
+    def test_build_flags_keep_ieee_arithmetic(self):
+        assert {"-std=c99", "-ffp-contract=off"} <= set(_kernels._FLAGS)
+        assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(_kernels._FLAGS)
+
+
+class TestBackend:
+    def test_names_the_loop_that_runs(self, monkeypatch, compiled_loop):
+        assert "backend" in ecokmap.__all__
+        monkeypatch.setattr(_kernels, "_loop", lambda: compiled_loop)
+        assert ecokmap.backend() == "c"
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._py_loop)
+        assert ecokmap.backend() == "python"
+
+
+def results():
+    """Bytes of an orbit, a Lyapunov run and a small sweep, through the public API."""
+    rec = iterate(REF, State(0.2, 0.1), 600, 100)
+    lyap = lyapunov_spectrum(REF, State(0.2, 0.1), 100, 300)
+    spec = SweepSpec(
+        base=REF, parameter="r2", lo=3.0, hi=4.0, n_points=5, s0=State(0.2, 0.1),
+        n_transient=50, n_record=20, n_lyap=150,
+    )
+    sweep = [
+        (pt.orbit.tail.tobytes(), np.float64(pt.lambda1).tobytes())
+        for pt in bifurcation_sweep(spec).points
+    ]
+    return rec.tail.tobytes(), lyap.series.tobytes(), sweep
+
+
+@pytest.fixture(scope="module")
+def want():
+    """results() on the point loop this process resolved before any test patched it."""
+    return results()
+
+
+def listing(directory: Path):
+    return sorted(p.name for p in directory.iterdir()) if directory.is_dir() else None
+
+
+class TestLoader:
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        """An empty cache and an empty temporary directory in tmp_path, and
+        a point loop that _kernels has not resolved yet."""
+        cache, tmp = tmp_path / "cache", tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(_kernels, "_CACHE_DIR", cache)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setattr(_kernels, "_loop", functools.cache(_kernels._loop.__wrapped__))
+        return cache, tmp
+
+    @staticmethod
+    def set_cc(monkeypatch, cc):
+        real = sysconfig.get_config_var
+        monkeypatch.setattr(
+            sysconfig, "get_config_var", lambda name: cc if name == "CC" else real(name)
+        )
+
+    @pytest.mark.parametrize("cc", [None, "missing-cc", "false"])
+    def test_no_working_compiler_falls_back_to_python(self, want, fresh, monkeypatch, tmp_path, cc):
+        # None: CC unset and no cc on PATH; "missing-cc": CC names no
+        # program; "false": the compiler runs and fails.
+        cache, tmp = fresh
+        self.set_cc(monkeypatch, cc)
+        if cc != "false":
+            monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        package = listing(Path(_kernels.__file__).with_name("__pycache__"))
+        assert ecokmap.backend() == "python"
+        assert results() == want
+        assert listing(cache) in (None, [])
+        assert listing(tmp) == []
+        assert listing(Path(_kernels.__file__).with_name("__pycache__")) == package
+
+    def test_builds_into_an_empty_cache_and_reuses_it(
+        self, want, fresh, monkeypatch, tmp_path, compiled_loop
+    ):
+        cache, tmp = fresh
+        assert ecokmap.backend() == "c"
+        (built,) = cache.iterdir()
+        assert built.name.startswith("_frame-") and built.suffix == ".so"
+        assert listing(tmp) == []
+        assert results() == want
+        # A second process start finds the library and needs no compiler.
+        monkeypatch.setattr(_kernels, "_loop", functools.cache(_kernels._loop.__wrapped__))
+        self.set_cc(monkeypatch, None)
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        assert ecokmap.backend() == "c"
+        assert listing(cache) == [built.name]
+
+    def test_unwritable_cache_builds_in_a_private_directory(
+        self, want, fresh, monkeypatch, tmp_path, compiled_loop
+    ):
+        _, tmp = fresh
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path / "file" / "cache")
+        assert ecokmap.backend() == "c"
+        assert results() == want
+        assert listing(tmp) == []  # the private directory is gone once loaded
+
+
+def child_env():
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_import_neither_loads_nor_builds_the_kernel():
+    # numpy itself imports ctypes, so the pin is that no kernel was
+    # resolved and the compiler driver (subprocess) was never imported.
+    code = (
+        "import sys, ecokmap.cli\n"
+        "from ecokmap import _kernels\n"
+        "print(_kernels._loop.cache_info().currsize, 'subprocess' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0", "False"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="os.wait4's ru_maxrss is in KiB on Linux")
+def test_grid_memory_does_not_grow_with_the_record_window(tmp_path):
+    # One tail buffer serves every point: 50 000 recorded states per point
+    # on a 9 x 9 grid must not cost more than a few MB over 2 000.
+    config = tmp_path / "config.json"
+    config.write_text('{"r2": 3.9, "c2": 0.6, "c3": 0.6}')
+
+    def peak_mb(steps):
+        argv = [sys.executable, "-m", "ecokmap", "chaos-grid", "--config", str(config),
+                "--grid", "9", "--steps", steps, "--out", str(tmp_path / steps)]
+        proc = subprocess.Popen(argv, env=child_env(), stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert status == 0
+        return usage.ru_maxrss / 1024
+
+    assert peak_mb("50000") - peak_mb("2000") < 8.0

@@ -1,10 +1,11 @@
-"""Lane engine: each sweep lane against a per-point oracle, bitwise.
+"""Sweep engine: each sweep point against a per-point oracle, bitwise.
 
 The oracle evaluates one point with the public scalar path: `iterate` for
 the orbit record (an orbit that escapes during its transient keeps its
 last finite state as a single marker row) and `lyapunov_spectrum` for
-lambda1, with EscapedTooEarly mapped to NaN.  The engine must reproduce
-its lambda1, tail and outcome bit for bit.
+lambda1, with EscapedTooEarly mapped to NaN.  The engine, which runs the
+fused point loop once per point, must reproduce its lambda1, tail and
+outcome bit for bit, on the compiled loop and on the Python one.
 
 Escape steps are placed with the engineered family of tests/test_orbit.py:
 from (0.5, 1e-3), ModelParams(2, r2, 1, 0, 4, 0) keeps x = 0.5 exactly and
@@ -16,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from ecokmap import _kernels, sweep
@@ -75,7 +76,22 @@ def escape_step(p, s0, limit):
     return out.at_step if isinstance(out, Escaped) else None
 
 
+@pytest.fixture(scope="module")
+def compiled_loop():
+    loop = _kernels._loop()
+    if loop is _kernels._py_loop:
+        pytest.skip("no C compiler: the compiled point loop is not available")
+    return loop
+
+
 class TestAgainstOracle:
+    """On the compiled point loop; TestAgainstOracleOnPython reruns every
+    case on the Python loop."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_loop(self, monkeypatch, compiled_loop):
+        monkeypatch.setattr(_kernels, "_loop", lambda: compiled_loop)
+
     def test_escape_at_every_stage(self):
         n_tr, n_rec, n_lyap = 40, 30, 300
         steps = {
@@ -139,18 +155,22 @@ class TestAgainstOracle:
         # so lambda1 pins the LOG_ZERO branch of both norms.
         params = [replace(REF, r2=0.0), ModelParams(0, 0, 1, 1, 1, 1), REF]
         n_tr, n_lyap, floor = 10, 150, 2 * _kernels.LOG_ZERO
-        lanes = [[getattr(p, f) for p in params] for f in sweep.SWEEPABLE_PARAMETERS]
-        *_, lam1 = _kernels.lane_kernel(
-            *lanes, 0.2, 0.1, n_tr, 20, n_lyap, ESCAPE_THRESHOLD, floor, MIN_STEPS
-        )
-        for p, got in zip(params, lam1):
+        got = []
+        for p in params:
+            tail, norms = np.empty((20, 2)), (np.empty(n_lyap), np.empty(n_lyap))
+            _, n_used, *_ = _kernels.point_loop(
+                p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, n_tr, 20, n_lyap,
+                ESCAPE_THRESHOLD, tail, *norms,
+            )
+            assert n_used == n_lyap
             series = np.empty(n_lyap), np.empty(n_lyap)
             want = _kernels.lyapunov_kernel(
                 p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, n_tr, n_lyap,
                 ESCAPE_THRESHOLD, floor, *series,
             )[0]
-            assert bits(got) == bits(want)
-        assert lam1[1] == _kernels.LOG_ZERO
+            got.append(_kernels.final_lambda1(*norms, floor))
+            assert bits(got[-1]) == bits(want)
+        assert got[1] == _kernels.LOG_ZERO
 
     def test_public_sweep_matches_oracle(self):
         spec = SweepSpec(
@@ -179,13 +199,25 @@ class TestAgainstOracle:
         st.integers(1, 40),
         st.integers(MIN_STEPS, MIN_STEPS + 80),
     )
-    @settings(max_examples=40, deadline=None)
+    # Run from TestAgainstOracleOnPython too, on the other point loop; a
+    # stored failing example replays on both, which both must pass.
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.differing_executors]
+    )
     def test_random_batches(self, rows, x0, y0, n_tr, n_rec, n_lyap):
         params = [ModelParams(*row) for row in rows]
         assert_matches_oracle(spec_for(State(x0, y0), n_tr, n_rec, n_lyap), params)
 
 
-class TestLaneIndependence:
+class TestAgainstOracleOnPython(TestAgainstOracle):
+    """Every TestAgainstOracle case on the Python point loop."""
+
+    @pytest.fixture(autouse=True)
+    def kernel_loop(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._py_loop)
+
+
+class TestPointIndependence:
     PARAMS = [
         REF,
         escaping_at(20),
@@ -197,12 +229,13 @@ class TestLaneIndependence:
         ModelParams(2.5, 4.0, 1, 0, 0, 1),
     ]
 
-    def test_alone_batched_and_across_blocks_agree(self, monkeypatch):
+    def test_alone_batched_and_reordered_agree(self):
+        # Points share one tail and one norm buffer; whatever ran before
+        # a point must not show in its result.
         spec = spec_for(ESCAPE_S0, 60, 30, 400)
         batched = list(sweep._evaluate(spec, self.PARAMS))
         alone = [next(sweep._evaluate(spec, [p])) for p in self.PARAMS]
-        monkeypatch.setattr(sweep, "LANE_BLOCK", 3)
-        blocked = list(sweep._evaluate(spec, self.PARAMS))
-        for b, a, c in zip(batched, alone, blocked):
+        reordered = list(sweep._evaluate(spec, self.PARAMS[::-1]))[::-1]
+        for b, a, c in zip(batched, alone, reordered):
             assert b[0] == a[0] == c[0]
             assert bits(b[1]) == bits(a[1]) == bits(c[1])
