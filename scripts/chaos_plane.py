@@ -28,12 +28,12 @@ def main(out_dir="results", r2=3.9):
         n_transient=400, n_record=100, n_lyap=20_000,
     )
     res = chaos_grid(spec)
-    rows = [(c.c2, c.c3, c.r2, c.lambda1, c.label) for c in res.cells]
+    header = ["c2", "c3", "r2", "lambda1", "label"]
+    c2, c3, r2s, lambda1, labels = ([getattr(c, f) for c in res.cells] for f in header)
     tag = f"r2_{r2:g}".replace(".", "p")
-    write_csv(out / f"chaos_plane_{tag}.csv", ["c2", "c3", "r2", "lambda1", "label"], rows)
+    write_csv(out / f"chaos_plane_{tag}.csv", header, [c2, c3, r2s, lambda1, labels])
     svg = heatmap_svg(
-        [c.c2 for c in res.cells], [c.c3 for c in res.cells],
-        [c.lambda1 for c in res.cells],
+        c2, c3, lambda1,
         xlabel="c2", ylabel="c3", title=f"lambda1 over (c2, c3) at r2={r2:g}",
     )
     (out / f"chaos_plane_{tag}.svg").write_text(svg)

@@ -26,9 +26,10 @@ def main(out_dir="results"):
     out.mkdir(parents=True, exist_ok=True)
     for name, p in CASES:
         rec = iterate(p, START, 600, 500)
-        write_csv(out / f"phase_{name}.csv", ["n", "x", "y"], rec.rows())
+        n, x, y = rec.columns()
+        write_csv(out / f"phase_{name}.csv", ["n", "x", "y"], [n, x, y])
         svg = scatter_svg(
-            rec.tail[:, 0], rec.tail[:, 1],
+            x, y,
             xlabel="x", ylabel="y", radius=2.0,
             title=f"phase portrait ({name}), c2={p.c2:g}, c3={p.c3:g}, r2={p.r2:g}",
         )
@@ -36,10 +37,10 @@ def main(out_dir="results"):
 
         res = lyapunov_spectrum(p, START, 400, 100_000)
         series = lambda_series(res, stride=100)
-        lrows = [(int(n), l1, l2) for n, l1, l2 in series]
-        write_csv(out / f"lyapunov_{name}.csv", ["n", "lambda1", "lambda2"], lrows)
+        n, lambda1, lambda2 = series[:, 0].astype(int), series[:, 1], series[:, 2]
+        write_csv(out / f"lyapunov_{name}.csv", ["n", "lambda1", "lambda2"], [n, lambda1, lambda2])
         svg = line_svg(
-            [r[0] for r in lrows], [r[1] for r in lrows],
+            n, lambda1,
             xlabel="n", ylabel="lambda1",
             title=f"lambda1 vs n ({name}), r2={p.r2:g}",
         )

@@ -26,11 +26,11 @@ def main(out_dir="results"):
             n_points=241, s0=START, n_transient=400, n_record=100, n_lyap=20_000,
         )
         res = bifurcation_sweep(spec)
-        header, rows = bifurcation_table(res)
+        header, columns = bifurcation_table(res)
         tag = f"c2_{c2:.1f}".replace(".", "p")
-        write_csv(out / f"regular_{tag}.csv", header, rows)
+        write_csv(out / f"regular_{tag}.csv", header, columns)
         svg = scatter_svg(
-            [r[0] for r in rows], [r[3] for r in rows],
+            columns[0], columns[3],
             xlabel="r2", ylabel="y",
             title=f"bifurcation diagram, c2={c2:g}, c3=0.6",
         )

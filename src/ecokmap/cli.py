@@ -90,15 +90,15 @@ def _pick(override, fallback):
     return fallback if override is None else override
 
 
-def _write(out_dir: Path, name: str, content, rows=None) -> None:
+def _write(out_dir: Path, name: str, content, columns=None) -> None:
     """Write out_dir/name and report it: `content` is the file's text or,
-    with `rows`, the CSV header."""
+    with `columns`, the CSV header."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    if rows is None:
+    if columns is None:
         path.write_text(content, encoding="ascii")
     else:
-        write_csv(path, content, rows)
+        write_csv(path, content, columns)
     print(f"wrote {path}")
 
 
@@ -106,24 +106,25 @@ def _cmd_orbit(
     cfg: RunConfig, args, out_dir: Path, stem: str, transient: int, record: int, plot
 ) -> int:
     """simulate and phase: iterate one orbit, write <stem>.csv and print its
-    outcome; with --plot also <stem>.svg, drawn by plot(rec, outcome label)."""
+    outcome; with --plot also <stem>.svg, drawn by plot(n, x, y, outcome label)."""
     transient = _pick(args.transient, transient)
     record = _pick(args.steps, record)
     tol = _pick(args.seed_tolerance, PERIOD_TOL)
     rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
-    _write(out_dir, f"{stem}.csv", ["n", "x", "y"], rec.rows())
+    n, x, y = rec.columns()
+    _write(out_dir, f"{stem}.csv", ["n", "x", "y"], [n, x, y])
     label = outcome_label(rec.outcome)
     print(f"outcome: {label}")
     if args.plot:
-        _write(out_dir, f"{stem}.svg", plot(rec, label))
+        _write(out_dir, f"{stem}.svg", plot(n, x, y, label))
     return EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
-    def plot(rec, label):
+    def plot(n, x, y, label):
         return line_svg(
-            rec.tail[:, 0],
-            rec.tail[:, 1],
+            x,
+            y,
             xlabel="x",
             ylabel="y",
             title=f"orbit tail, r2={cfg.params.r2:g} ({label})",
@@ -154,12 +155,12 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
     result = bifurcation_sweep(spec, workers=args.workers)
-    header, rows = bifurcation_table(result)
-    _write(out_dir, "bifurcation.csv", header, rows)
+    header, columns = bifurcation_table(result)
+    _write(out_dir, "bifurcation.csv", header, columns)
     if args.plot:
         svg = scatter_svg(
-            [r[0] for r in rows],
-            [r[3] for r in rows],
+            columns[0],
+            columns[3],
             xlabel=spec.parameter,
             ylabel="y",
             title=f"bifurcation diagram: y vs {spec.parameter}",
@@ -174,16 +175,16 @@ def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
     result = lyapunov_spectrum(cfg.params, cfg.initial, transient, n_iter)
     stride = max(1, n_iter // 1000)
     series = lambda_series(result, stride)
-    rows = [(int(n), l1, l2) for n, l1, l2 in series.tolist()]
-    _write(out_dir, "lyapunov.csv", ["n", "lambda1", "lambda2"], rows)
+    n, lambda1, lambda2 = series[:, 0].astype(int), series[:, 1], series[:, 2]
+    _write(out_dir, "lyapunov.csv", ["n", "lambda1", "lambda2"], [n, lambda1, lambda2])
     print(
         f"lambda1={result.lambda1:.6g} lambda2={result.lambda2:.6g} "
         f"n_used={result.n_used} escaped={str(result.escaped).lower()}"
     )
     if args.plot:
         svg = line_svg(
-            [r[0] for r in rows],
-            [r[1] for r in rows],
+            n,
+            lambda1,
             xlabel="n",
             ylabel="lambda1",
             title=f"largest Lyapunov exponent vs n, r2={cfg.params.r2:g}",
@@ -210,15 +211,18 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
     result = chaos_grid(spec, workers=args.workers)
-    rows = [(c.c2, c.c3, c.r2, c.lambda1, c.label) for c in result.cells]
-    _write(out_dir, "chaos_grid.csv", ["c2", "c3", "r2", "lambda1", "label"], rows)
+    header = ["c2", "c3", "r2", "lambda1", "label"]
+    c2, c3, r2s, lambda1, labels = ([getattr(c, f) for c in result.cells] for f in header)
+    _write(out_dir, "chaos_grid.csv", header, [c2, c3, r2s, lambda1, labels])
     if args.plot:
+        # Cells run r2-outer: map i draws the i-th block of c2_points * c3_points.
+        size = spec.c2_points * spec.c3_points
         for i, r2 in enumerate(spec.r2_values):
-            cells = [c for c in result.cells if c.r2 == r2]
+            block = slice(i * size, (i + 1) * size)
             svg = heatmap_svg(
-                [c.c2 for c in cells],
-                [c.c3 for c in cells],
-                [c.lambda1 for c in cells],
+                c2[block],
+                c3[block],
+                lambda1[block],
                 xlabel="c2",
                 ylabel="c3",
                 title=f"lambda1 over (c2, c3) at r2={r2:g}",
@@ -229,14 +233,13 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_phase(cfg: RunConfig, args, out_dir: Path) -> int:
-    def plot(rec, label):
-        last = rec.first_index + len(rec.tail) - 1
+    def plot(n, x, y, label):
         return scatter_svg(
-            rec.tail[:, 0],
-            rec.tail[:, 1],
+            x,
+            y,
             xlabel="x",
             ylabel="y",
-            title=f"phase portrait, iterations {rec.first_index}..{last}",
+            title=f"phase portrait, iterations {n.start}..{n.stop - 1}",
             radius=2.0,
         )
 

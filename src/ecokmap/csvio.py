@@ -1,30 +1,30 @@
 """CSV emission and re-reading.
 
-Floats are written with 17 significant digits so that re-reading
-reproduces every value exactly; rows use '\n' regardless of platform so
-output bytes are identical across runs and machines.
-
-Rows are rendered through one %-template per sequence of field types
-(float, numpy float64, int, str), which gives the bytes csv.writer gives
-for the format_value strings; any other row, and any str field
-csv.writer might quote, goes through csv.writer itself.
+A table is a header plus equal-length columns (numpy arrays, lists or
+ranges).  Each column gets one conversion, fixed once per file by the
+kind of its values: floats (and numpy float64) are written with 17
+significant digits, so that re-reading reproduces every value exactly;
+ints in decimal; strs quoted exactly as csv.writer quotes them.  One row
+template then formats CHUNK_ROWS rows per % call.  Rows end in '\n'
+regardless of platform, so output bytes are identical across runs and
+machines.
 """
 from __future__ import annotations
 
 import csv
-import io
 import re
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
 __all__ = ["format_value", "render_csv", "write_csv", "read_csv"]
 
-# format_value's output for each exact type, as a %-conversion.
+# The %-conversion that gives format_value's output, per value type.
 _CONVERSION = {float: "%.17g", np.float64: "%.17g", int: "%d", str: "%s"}
-# Finds a character that can make csv.writer quote a field.
-_QUOTABLE = re.compile('[,"\r\n]').search
-# Rows joined into one string per file write.
+# Finds a character that makes csv.writer quote a field: the delimiter,
+# the quote character or a character of the line terminator, "\n".
+_QUOTABLE = re.compile('[,"\n]').search
+# Rows formatted into one string per file write.
 CHUNK_ROWS = 4096
 
 
@@ -33,63 +33,63 @@ def format_value(v) -> str:
         raise TypeError("bool is not a CSV value here")
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 
-def _template(types: tuple) -> str | None:
-    if not all(t in _CONVERSION for t in types):
-        return None
-    return ",".join(_CONVERSION[t] for t in types) + "\n"
+def _quote(s: str, lone: bool) -> str:
+    """s as csv.writer writes it, in a row of one field when lone."""
+    if _QUOTABLE(s) or (lone and s == ""):
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
-def _plain(s: str) -> bool:
-    """Whether csv.writer writes this str field unquoted."""
-    return s != "" and not _QUOTABLE(s)
+def _column(values: list, lone: bool) -> tuple[str, list]:
+    """A column's one %-conversion, and its values ready for it (strs quoted)."""
+    types = set(map(type, values))
+    conversions = {_CONVERSION.get(t) for t in types} or {"%s"}
+    if None in conversions or len(conversions) > 1:
+        names = ", ".join(sorted(t.__name__ for t in types))
+        raise TypeError(f"a CSV column holds floats, ints or strs of one kind, got {names}")
+    (conversion,) = conversions
+    if conversion == "%s":
+        quoted = {s: _quote(s, lone) for s in set(values)}
+        values = list(map(quoted.__getitem__, values))
+    return conversion, values
 
 
-def _lines(header, rows):
-    """The CSV text of header and rows, one line at a time."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-
-    def reference(fields):
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow(fields)
-        return buf.getvalue()
-
-    yield reference(header)
-    templates = {}
-    for row in rows:
-        types = tuple(map(type, row))
-        try:
-            template = templates[types]
-        except KeyError:
-            template = templates[types] = _template(types)
-        if template is not None and (
-            str not in types or all(_plain(v) for v in row if type(v) is str)
-        ):
-            yield template % tuple(row)
-        else:
-            yield reference([format_value(v) for v in row])
+def _chunks(header: list[str], columns):
+    """The CSV text of the table: the header line, then CHUNK_ROWS rows per
+    string.  Every check runs before the first string is produced."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(columns) != len(header) or len(set(lengths)) != 1:
+        raise ValueError(f"need one equal-length column per header field, got {header}, {lengths}")
+    lone = len(columns) == 1
+    conversions, columns = zip(*(_column(c, lone) for c in columns))
+    head = ",".join(_quote(h, lone) for h in header) + "\n"
+    return chain([head], _rows(",".join(conversions) + "\n", columns, lengths[0]))
 
 
-def render_csv(header: list[str], rows) -> str:
-    return "".join(_lines(header, rows))
+def _rows(template: str, columns, n_rows: int):
+    """The rows of the columns through template, CHUNK_ROWS rows per string."""
+    for i in range(0, n_rows, CHUNK_ROWS):
+        chunk = [c[i : i + CHUNK_ROWS] for c in columns]
+        yield (template * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk)))
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write header and rows as CSV, streaming CHUNK_ROWS rows per write.
+def render_csv(header: list[str], columns) -> str:
+    return "".join(_chunks(header, columns))
 
-    A row that cannot be written (a bool field, say) raises after the rows
-    before it have been written.
+
+def write_csv(path, header: list[str], columns) -> None:
+    """Write header and columns as CSV, CHUNK_ROWS rows per write.
+
+    A table that cannot be written (a bool value, a column mixing kinds,
+    columns of unequal length) raises before the file is opened.
     """
-    lines = _lines(header, rows)
+    chunks = _chunks(header, columns)
     with open(path, "w", encoding="ascii", newline="") as f:
-        while chunk := "".join(islice(lines, CHUNK_ROWS)):
-            f.write(chunk)
+        f.writelines(chunks)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import ModelParams, State
-from .orbit import ESCAPE_THRESHOLD
+from .orbit import DEFAULT_TRANSIENT, ESCAPE_THRESHOLD
 
 __all__ = [
     "LyapunovResult",
@@ -32,7 +32,6 @@ __all__ = [
 # eigenvalue somewhere along it) has a true exponent of -inf.
 LAMBDA_FLOOR = -50.0
 MIN_STEPS = 100
-DEFAULT_TRANSIENT = 400
 DEFAULT_STEPS = 100_000
 # Cheaper per-point budget used inside parameter sweeps.
 SWEEP_STEPS = 20_000

@@ -5,11 +5,12 @@ its detected outcome: settled on a k-cycle, aperiodic within the tested
 period range, or escaped (any component beyond ESCAPE_THRESHOLD or
 non-finite).  Escape is an outcome, not an error; the record is truncated
 at the step where it was detected and never stores a non-finite state.
+OrbitRecord.columns() gives the tail as the (n, x, y) columns that both the
+CSV writer and the plots take.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,6 @@ DEFAULT_TRANSIENT = 400
 DEFAULT_RECORD = 100
 PERIOD_TOL = 1e-6
 MAX_PERIOD = 64
-# Rows detect_period tests for each candidate period before the full tail.
-PERIOD_PREFIX = 64
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,10 @@ class OrbitRecord:
         """Global iteration index of tail[0]."""
         return self.transient_len + 1
 
-    def rows(self) -> Iterator[tuple[int, float, float]]:
-        """(n, x, y) per tail state, n the global iteration index, as Python
-        numbers; a one-pass iterator, so a CSV writer can stream it."""
-        xs, ys = self.tail.T.tolist()
-        return zip(range(self.first_index, self.first_index + len(xs)), xs, ys)
+    def columns(self) -> tuple[range, np.ndarray, np.ndarray]:
+        """The tail as columns (n, x, y), n the global iteration index; x and
+        y are read-only views of the tail."""
+        return range(self.first_index, self.first_index + len(self.tail)), *self.tail.T
 
 
 def check_period_tol(period_tol: float) -> None:
@@ -131,17 +129,12 @@ def detect_period(tail, max_period: int = MAX_PERIOD, period_tol: float = PERIOD
         raise ValueError(f"max_period must be >= 1, got {max_period}")
     check_period_tol(period_tol)
     bound = period_tol * (1.0 + _sup(a))
-    for k in range(1, min(max_period, n - 1) + 1):
-        # A row failing among the first PERIOD_PREFIX fails the whole test,
-        # so most wrong candidates are rejected without touching the rest.
-        if _repeats(a[: PERIOD_PREFIX + k], bound, k) and _repeats(a, bound, k):
+    # A k-periodic tail passes on row 0 against row k: only those k get the full test.
+    candidates = np.flatnonzero(_sup(a[1 : min(max_period, n - 1) + 1] - a[0]) <= bound[0]) + 1
+    for k in candidates.tolist():
+        if np.all(_sup(a[:-k] - a[k:]) <= bound[: n - k]):
             return Settled(k)
     return Aperiodic()
-
-
-def _repeats(a, bound, k) -> bool:
-    """Whether every row i of a with i + k in range is within bound[i] of row i + k."""
-    return bool(np.all(_sup(a[:-k] - a[k:]) <= bound[: len(a) - k]))
 
 
 def _sup(d):

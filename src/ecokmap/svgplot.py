@@ -23,7 +23,7 @@ MARGIN_T = 34.0
 MARGIN_B = 48.0
 N_TICKS = 5
 PAD_FRACTION = 0.05  # 5% margin around the data range
-CHUNK_POINTS = 4096  # line-chart points formatted and joined at a time
+CHUNK_POINTS = 4096  # plot points formatted and joined at a time
 
 
 def _fmt(v: float) -> str:
@@ -61,10 +61,6 @@ class _Axes:
     def py(self, y):
         t = (y - self.y_lo) / (self.y_hi - self.y_lo)
         return HEIGHT - MARGIN_B - t * (HEIGHT - MARGIN_T - MARGIN_B)
-
-    def points(self, xs: np.ndarray, ys: np.ndarray):
-        """Pixel (x, y) of each data point, as pairs of Python floats."""
-        return zip(self.px(xs).tolist(), self.py(ys).tolist())
 
 
 def _coords(v) -> np.ndarray:
@@ -134,13 +130,24 @@ def _axes_elems(ax: _Axes, xlabel: str, ylabel: str) -> list[str]:
 _CIRCLE = '<circle class="d" cx="%.2f" cy="%.2f" r="{r}" fill="#1f5fa8"/>'
 
 
+def _marks(ax: _Axes, xs: np.ndarray, ys: np.ndarray, radius: float):
+    """Per CHUNK_POINTS points, their pixel pairs "x,y" and their circles
+    (class "d") as one string, so no string per point outlives its chunk."""
+    c_open, c_close = _CIRCLE.format(r=_fmt(radius)).split('%.2f" cy="%.2f')
+    pxs, pys = ax.px(xs).tolist(), ax.py(ys).tolist()
+    for start in range(0, len(pxs), CHUNK_POINTS):
+        chunk = slice(start, start + CHUNK_POINTS)
+        pairs = list(map("%.2f,%.2f".__mod__, zip(pxs[chunk], pys[chunk])))
+        # Each pair is formatted once: a circle is its text, comma replaced.
+        yield pairs, c_open + (c_close + "\n" + c_open).join(pairs).replace(",", '" cy="') + c_close
+
+
 def scatter_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.2) -> str:
     """Scatter plot; one circle (class "d") per point."""
     xs, ys = _coords(xs), _coords(ys)
     ax = _Axes(xs, ys)
-    circles = _CIRCLE.format(r=_fmt(radius)).__mod__
     parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
-    parts.extend(map(circles, ax.points(xs, ys)))
+    parts.extend(circles for _, circles in _marks(ax, xs, ys, radius))
     parts.append("</svg>\n")
     return "\n".join(parts)
 
@@ -150,18 +157,10 @@ def line_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.
     (class "d") per point."""
     xs, ys = _coords(xs), _coords(ys)
     ax = _Axes(xs, ys)
-    pxs, pys = ax.px(xs), ax.py(ys)
-    # Each pair is formatted once, as "x,y", for the polyline; a circle
-    # takes the same text with the comma replaced.  Circles are joined a
-    # chunk at a time, so no list of one string per point is held.
-    c_open, c_close = _CIRCLE.format(r=_fmt(radius)).split('%.2f" cy="%.2f')
-    c_sep = c_close + "\n" + c_open
     polyline, circles = [], []
-    for start in range(0, len(xs), CHUNK_POINTS):
-        chunk = slice(start, start + CHUNK_POINTS)
-        pairs = list(map("%.2f,%.2f".__mod__, zip(pxs[chunk].tolist(), pys[chunk].tolist())))
+    for pairs, marks in _marks(ax, xs, ys, radius):
         polyline.append(" ".join(pairs))
-        circles.append(c_open + c_sep.join(pairs).replace(",", '" cy="') + c_close)
+        circles.append(marks)
     parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
     parts.append(
         f'<polyline points="{" ".join(polyline)}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
@@ -210,7 +209,7 @@ def heatmap_svg(xs, ys, values, *, xlabel: str, ylabel: str, title: str) -> str:
     ).__mod__
     parts.extend(
         rect((px - w / 2, py - h / 2, _heat_color(v, v_lo, v_hi)))
-        for (px, py), v in zip(ax.points(cx, cy), values)
+        for px, py, v in zip(ax.px(cx).tolist(), ax.py(cy).tolist(), values)
     )
     parts.append("</svg>\n")
     return "\n".join(parts)

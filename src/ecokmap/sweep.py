@@ -228,18 +228,20 @@ def outcome_label(outcome) -> str:
     return "aperiodic"
 
 
-def bifurcation_table(result: SweepResult) -> tuple[list[str], list[tuple]]:
-    """Header and rows of a bifurcation diagram, one row per tail state.
+def bifurcation_table(result: SweepResult) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns of a bifurcation diagram, one row per tail state.
 
-    The period column holds the int period of a settled point and the
-    outcome label otherwise.
+    The period column holds the period k of a settled point (its label
+    "period-k" without the prefix) and the outcome label otherwise.
     """
-    rows = []
-    for pt in result.points:
-        out = pt.orbit.outcome
-        period = out.period if isinstance(out, Settled) else outcome_label(out)
-        rows.extend((pt.value, n, x, y, period, pt.lambda1) for n, x, y in pt.orbit.rows())
-    return ["param", "n", "x", "y", "period", "lambda1"], rows
+    pts = result.points
+    n, x, y = (np.concatenate(c) for c in zip(*(pt.orbit.columns() for pt in pts)))
+    sizes = [len(pt.orbit.tail) for pt in pts]
+    periods = [outcome_label(pt.orbit.outcome).removeprefix("period-") for pt in pts]
+    param, period, lambda1 = (
+        np.repeat(c, sizes) for c in ([pt.value for pt in pts], periods, [pt.lambda1 for pt in pts])
+    )
+    return ["param", "n", "x", "y", "period", "lambda1"], [param, n, x, y, period, lambda1]
 
 
 def chaos_grid(spec: ChaosGridSpec, workers: int | None = None) -> ChaosGridResult:

@@ -397,10 +397,10 @@ def test_criterion_9_io_round_trips(tmp_path):
     res = ek.bifurcation_sweep(spec)
     rows = []
     for pt in res.points:
-        for n, x, y in pt.orbit.rows():
-            rows.append((pt.value, n, x, y, pt.lambda1))
+        n, x, y = pt.orbit.columns()
+        rows.extend((pt.value, i, a, b, pt.lambda1) for i, a, b in zip(n, x.tolist(), y.tolist()))
     path = tmp_path / "roundtrip.csv"
-    path.write_text(render_csv(["param", "n", "x", "y", "lambda1"], rows))
+    path.write_text(render_csv(["param", "n", "x", "y", "lambda1"], list(zip(*rows))))
     _, got = read_csv(path)
     assert len(got) == len(rows)
     for row, want in zip(got, rows):

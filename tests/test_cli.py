@@ -126,6 +126,16 @@ class TestChaosGrid:
         assert all(r[4].startswith(("period-", "aperiodic", "escaped")) for r in rows)
         assert count_data_elements((out / "chaos_grid.svg").read_text()) == 9
 
+    def test_repeated_r2_gets_one_plane_per_map(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        grid = {"c2_points": 3, "c3_points": 3, "r2_values": [3.9, 3.9], "lyap": 1000}
+        doc = dict(BASE, grid=grid)
+        assert run("chaos-grid", "--config", config_path(doc), "--out", str(out), "--plot") == 0
+        _, rows = read_csv(out / "chaos_grid.csv")
+        assert len(rows) == 18
+        for name in ("chaos_grid_1.svg", "chaos_grid_2.svg"):
+            assert count_data_elements((out / name).read_text()) == 3 * 3
+
     def test_defaults_to_model_r2(self, config_path, tmp_path):
         out = tmp_path / "o"
         doc = dict(BASE, grid={"c2_points": 2, "c3_points": 2, "lyap": 1000})

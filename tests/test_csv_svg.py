@@ -1,9 +1,9 @@
 """CSV exactness and SVG validity/determinism.
 
 The reference renderers here are the straightforward per-value forms:
-csv.writer over format_value strings, and one f-string per SVG data point
-through scalar _Axes.px/py calls.  The package's templated writers must
-give the same bytes.
+csv.writer over the format_value strings of each row of the columns, and
+one f-string per SVG data point through scalar _Axes.px/py calls.  The
+package's column and chunked writers must give the same bytes.
 """
 import csv
 import io
@@ -35,21 +35,22 @@ class TestCsv:
         assert format_value(42) == "42"
 
     def test_write_read_cycle_exact(self, tmp_path):
-        rows = [(1, 0.1 + 0.2, -1 / 7), (2, 5e-324, 1e308)]
+        columns = [range(1, 3), np.array([0.1 + 0.2, 5e-324]), [-1 / 7, 1e308]]
         path = tmp_path / "t.csv"
-        write_csv(path, ["n", "a", "b"], rows)
+        write_csv(path, ["n", "a", "b"], columns)
         header, got = read_csv(path)
         assert header == ["n", "a", "b"]
-        for (n, a, b), row in zip(rows, got):
+        assert len(got) == 2
+        for (n, a, b), row in zip(zip(*columns), got):
             assert int(row[0]) == n
             assert float(row[1]) == a
             assert float(row[2]) == b
 
     def test_rendering_is_deterministic_with_unix_newlines(self):
-        rows = [(1, 2.5)]
-        text = render_csv(["n", "v"], rows)
+        columns = [[1], [2.5]]
+        text = render_csv(["n", "v"], columns)
         assert text == "n,v\n1,2.5\n"
-        assert render_csv(["n", "v"], rows) == text
+        assert render_csv(["n", "v"], columns) == text
 
 
 POINTS = [(0.1, 0.5), (0.2, 0.9), (0.35, 0.2), (0.8, 0.4)]
@@ -99,68 +100,113 @@ class TestSvg:
         ET.fromstring(svg)
 
 
-def reference_csv(header, rows) -> str:
+def reference_csv(header, columns) -> str:
+    """csv.writer over the format_value strings of each row."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
+    for row in zip(*columns):
         w.writerow([format_value(v) for v in row])
     return buf.getvalue()
 
 
 # Fields csv.writer must quote, or that it writes specially.
 AWKWARD_LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " ", "'", "%s", "%d"]
-csv_fields = st.one_of(
-    st.floats(),  # nan, +-inf, -0.0 and subnormals included
-    st.floats().map(np.float64),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.sampled_from(["aperiodic", "escaped", "period-3", *AWKWARD_LABELS]),
-    st.text(alphabet="ab ,\"\r\n-", max_size=4),
-)
-csv_rows = st.lists(
-    st.lists(csv_fields, min_size=0, max_size=5).map(tuple) | st.lists(csv_fields, max_size=5),
-    max_size=30,
-)
+HEADER_FIELDS = ["a", "b,c", "", "lambda1", 'q"', "%s"]
+
+
+@st.composite
+def csv_columns(draw, n_rows):
+    """One column of n_rows values of a single kind, as a list, a numpy
+    array or a range."""
+    kind = draw(st.sampled_from(["float", "float64", "int", "str"]))
+    if kind == "int" and draw(st.booleans()):
+        start = draw(st.integers(min_value=-(10**12), max_value=10**12))
+        return range(start, start + n_rows)
+    values = st.floats()  # nan, +-inf, -0.0 and subnormals included
+    if kind == "float64":
+        values = values.map(np.float64)
+    elif kind == "int":
+        values = st.integers(min_value=-(10**40), max_value=10**40)
+    elif kind == "str":
+        values = st.sampled_from(["aperiodic", "escaped", "3", *AWKWARD_LABELS]) | st.text(
+            alphabet='ab ,"\r\n-%', max_size=4
+        )
+    column = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+    return np.array(column) if kind == "float" and draw(st.booleans()) else column
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and a rectangular table of homogeneous columns."""
+    n_cols = draw(st.integers(min_value=1, max_value=5))
+    n_rows = draw(st.integers(min_value=0, max_value=30))
+    header = draw(st.lists(st.sampled_from(HEADER_FIELDS), min_size=n_cols, max_size=n_cols))
+    return header, [draw(csv_columns(n_rows)) for _ in range(n_cols)]
 
 
 class TestCsvTemplates:
     """render_csv and write_csv against csv.writer + format_value."""
 
-    @given(csv_rows)
-    @example([(1, 0.1, -0.0), (2, 5e-324, math.inf), (3, -math.inf, math.nan)])
-    @example([(np.float64(3.9), 500, 0.25, 0.5, "aperiodic", -0.01)] * 3)
-    @example([("a,b",), ("",), ('say "hi"',), ("two\nlines", 1), ("cr\rhere", 2.5)])
-    @example([(10**30, -(10**35))])
-    @example([()])
+    @given(csv_tables())
+    @example((["n", "a", "b,c"], [[1, 2, 3], [0.1, 5e-324, -math.inf], [-0.0, math.inf, math.nan]]))
+    @example((["param", "n", "period"], [np.full(3, 3.9), range(500, 503), ["aperiodic"] * 3]))
+    @example((["label"], [["a,b", "", 'say "hi"', "two\nlines", "cr\rhere"]]))
+    @example(([""], [[""]]))
+    @example((["a", "b,c"], [[10**30, -(10**35)], [np.float64(0.5), np.float64(-2.0)]]))
+    @example((["n", "x"], [[], np.empty(0)]))
     @settings(max_examples=200, deadline=None)
-    def test_same_bytes_as_reference(self, tmp_path_factory, rows):
-        header = ["a", "b,c", "d"]
-        expected = reference_csv(header, rows)
-        assert render_csv(header, rows) == expected
+    def test_same_bytes_as_reference(self, tmp_path_factory, table):
+        header, columns = table
+        expected = reference_csv(header, columns)
+        assert render_csv(header, columns) == expected
         path = tmp_path_factory.mktemp("csv") / "t.csv"
-        write_csv(path, header, iter(rows))
+        write_csv(path, header, columns)
         assert path.read_bytes() == expected.encode("ascii")
 
     def test_labels_needing_quotes_are_quoted_like_csv_writer(self):
-        rows = [(float(i), label) for i, label in enumerate(AWKWARD_LABELS)]
-        text = render_csv(["v", "label"], rows)
-        assert text == reference_csv(["v", "label"], rows)
-        assert '0,"a,b"\n' in text and '1,"say ""hi"""\n' in text
+        columns = [np.arange(len(AWKWARD_LABELS), dtype=float), AWKWARD_LABELS]
+        text = render_csv(["v", "label"], columns)
+        assert text == reference_csv(["v", "label"], columns)
+        assert '0,"a,b"\n' in text and '1,"say ""hi"""\n' in text and "4,\n" in text
+        lone = render_csv(["b,c"], [["", "x"]])
+        assert lone == reference_csv(["b,c"], [["", "x"]]) == '"b,c"\n""\nx\n'
 
     def test_streams_more_rows_than_one_chunk(self, tmp_path, monkeypatch):
         from ecokmap import csvio
 
         monkeypatch.setattr(csvio, "CHUNK_ROWS", 7)
-        rows = [(i, i / 7, "aperiodic" if i % 3 else "period-2") for i in range(50)]
-        write_csv(tmp_path / "t.csv", ["n", "v", "p"], rows)
-        assert (tmp_path / "t.csv").read_text() == reference_csv(["n", "v", "p"], rows)
+        for n_rows in (0, 6, 7, 49, 50):  # none, part of a chunk, whole chunks, a remainder
+            columns = [
+                range(n_rows),
+                np.arange(n_rows) / 7,
+                ["aperiodic" if i % 3 else "period-2" for i in range(n_rows)],
+            ]
+            write_csv(tmp_path / "t.csv", ["n", "v", "p"], columns)
+            assert (tmp_path / "t.csv").read_text() == reference_csv(["n", "v", "p"], columns)
 
-    @pytest.mark.parametrize("rows", [[(1, True)], [(1, 2.0), (2, False)]])
-    def test_bool_rejected(self, tmp_path, rows):
-        with pytest.raises(TypeError, match="bool"):
-            render_csv(["n", "v"], rows)
-        with pytest.raises(TypeError, match="bool"):
-            write_csv(tmp_path / "t.csv", ["n", "v"], rows)
+    @pytest.mark.parametrize(
+        "columns,error",
+        [
+            ([[1], [True]], TypeError),
+            ([[1, 2], np.array([True, False])], TypeError),
+            ([[1, 2], [2.0, False]], TypeError),
+            ([[1, 2.0], [0.5, 0.25]], TypeError),
+            ([[1, 2], ["period-2", 3]], TypeError),
+            ([[1, 2], [None, None]], TypeError),
+            ([[1, 2], [0.5]], ValueError),
+            ([[1, 2]], ValueError),
+        ],
+        ids=["bool", "bool-array", "bool-among-floats", "mixed", "mixed-label", "none",
+             "unequal", "header-mismatch"],
+    )
+    def test_rejected_before_the_file_is_opened(self, tmp_path, columns, error):
+        with pytest.raises(error):
+            render_csv(["n", "v"], columns)
+        path = tmp_path / "t.csv"
+        with pytest.raises(error):
+            write_csv(path, ["n", "v"], columns)
+        assert not path.exists()
 
 
 class ReferenceAxes(svgplot._Axes):

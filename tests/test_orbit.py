@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from ecokmap.dynamics import ModelParams, State, step
@@ -228,6 +228,8 @@ class TestDetectPeriodReference:
         st.integers(min_value=1, max_value=70),
         tolerances,
     )
+    # Row 0 repeats at k = 2, whose full test fails on row 1; the period is 3.
+    @example([(0.1, 0.2), (0.5, 0.6), (0.1, 0.2)] * 10, 64, 1e-6)
     @settings(max_examples=150, deadline=None)
     def test_short_tails(self, rows, max_period, period_tol):
         tail = np.array(rows)
