@@ -25,6 +25,10 @@ SHA-256 of the source, the flags and the machine, and loads it with
 ctypes.  If there is no compiler, or the build or the load fails, the
 Python loop runs instead: slower, same results.  backend() says which.
 
+This module imports numpy, so it loads with the first engine module
+(orbit, lyapunov or sweep) that a caller uses: `import ecokmap` and
+`import ecokmap.cli` load neither.
+
 The step and Jacobian expressions here repeat dynamics.step and
 dynamics.jacobian; tests/test_lyapunov.py::TestKernelFormulas and
 tests/test_orbit.py::TestDeterminism pin them bitwise against those.

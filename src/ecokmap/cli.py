@@ -4,31 +4,51 @@ Each command reads one JSON config, runs the corresponding analysis and
 writes CSV data (plus an SVG with --plot) into the output directory.
 Flags override config values.  Exit codes: 0 success, 1 usage, 2 invalid
 config/values, 3 runtime failure.
+
+Importing this module loads no numpy: the engine and writer modules load
+when a command first uses one of their names (see _ENGINE), so
+fixed-points, usage errors and config errors run without numpy.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+from . import _lazy_getattr
 from .config import ConfigError, RunConfig, parse_config
-from .csvio import write_csv
-from .dynamics import NonFiniteStepError
-from .equilibria import stability_report
-from .lyapunov import EscapedTooEarly, lambda_series, lyapunov_spectrum
-from .orbit import PERIOD_TOL, iterate
-from .svgplot import heatmap_svg, line_svg, scatter_svg
-from .sweep import (
-    ChaosGridSpec,
-    SweepSpec,
-    bifurcation_sweep,
-    bifurcation_table,
-    chaos_grid,
-    outcome_label,
-)
+from .dynamics import PERIOD_TOL, EscapedTooEarly, NonFiniteStepError
 
 __all__ = ["main", "build_parser"]
+
+# The CLI does no BLAS work, and starting OpenBLAS's thread pool costs about
+# 60 ms per process when numpy loads.  No numpy has loaded by this point
+# (none of the imports above needs it); a value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# Names the commands load on first use, and the module of each.  They stay
+# attributes of this module, which the command bodies read at call time
+# (through _cli), so rebinding one here, as a tracer does, takes effect.
+_ENGINE = {
+    "stability_report": "equilibria",
+    "iterate": "orbit",
+    "outcome_label": "orbit",
+    "lyapunov_spectrum": "lyapunov",
+    "lambda_series": "lyapunov",
+    "SweepSpec": "sweep",
+    "ChaosGridSpec": "sweep",
+    "bifurcation_sweep": "sweep",
+    "bifurcation_table": "sweep",
+    "chaos_grid": "sweep",
+    "write_csv": "csvio",
+    "line_svg": "svgplot",
+    "scatter_svg": "svgplot",
+    "heatmap_svg": "svgplot",
+}
+__getattr__ = _lazy_getattr(globals(), _ENGINE)
+_cli = sys.modules[__name__]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +118,7 @@ def _write(out_dir: Path, name: str, content, columns=None) -> None:
     if columns is None:
         path.write_text(content, encoding="ascii")
     else:
-        write_csv(path, content, columns)
+        _cli.write_csv(path, content, columns)
     print(f"wrote {path}")
 
 
@@ -110,10 +130,10 @@ def _cmd_orbit(
     transient = _pick(args.transient, transient)
     record = _pick(args.steps, record)
     tol = _pick(args.seed_tolerance, PERIOD_TOL)
-    rec = iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
+    rec = _cli.iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
     n, x, y = rec.columns()
     _write(out_dir, f"{stem}.csv", ["n", "x", "y"], [n, x, y])
-    label = outcome_label(rec.outcome)
+    label = _cli.outcome_label(rec.outcome)
     print(f"outcome: {label}")
     if args.plot:
         _write(out_dir, f"{stem}.svg", plot(n, x, y, label))
@@ -122,7 +142,7 @@ def _cmd_orbit(
 
 def cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
     def plot(n, x, y, label):
-        return line_svg(
+        return _cli.line_svg(
             x,
             y,
             xlabel="x",
@@ -135,14 +155,14 @@ def cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_fixed_points(cfg: RunConfig, args, out_dir: Path) -> int:
-    report = stability_report(cfg.params)
+    report = _cli.stability_report(cfg.params)
     _write(out_dir, "fixed_points.txt", report.to_text())
     return EXIT_OK
 
 
 def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
     s = cfg.sweep
-    spec = SweepSpec(
+    spec = _cli.SweepSpec(
         base=cfg.params,
         parameter=s.parameter,
         lo=s.lo,
@@ -154,11 +174,11 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
         n_lyap=s.lyap,
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
-    result = bifurcation_sweep(spec, workers=args.workers)
-    header, columns = bifurcation_table(result)
+    result = _cli.bifurcation_sweep(spec, workers=args.workers)
+    header, columns = _cli.bifurcation_table(result)
     _write(out_dir, "bifurcation.csv", header, columns)
     if args.plot:
-        svg = scatter_svg(
+        svg = _cli.scatter_svg(
             columns[0],
             columns[3],
             xlabel=spec.parameter,
@@ -172,9 +192,9 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
 def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
     transient = _pick(args.transient, cfg.budgets.transient)
     n_iter = _pick(args.steps, cfg.budgets.lyap)
-    result = lyapunov_spectrum(cfg.params, cfg.initial, transient, n_iter)
+    result = _cli.lyapunov_spectrum(cfg.params, cfg.initial, transient, n_iter)
     stride = max(1, n_iter // 1000)
-    series = lambda_series(result, stride)
+    series = _cli.lambda_series(result, stride)
     n, lambda1, lambda2 = series[:, 0].astype(int), series[:, 1], series[:, 2]
     _write(out_dir, "lyapunov.csv", ["n", "lambda1", "lambda2"], [n, lambda1, lambda2])
     print(
@@ -182,7 +202,7 @@ def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
         f"n_used={result.n_used} escaped={str(result.escaped).lower()}"
     )
     if args.plot:
-        svg = line_svg(
+        svg = _cli.line_svg(
             n,
             lambda1,
             xlabel="n",
@@ -195,7 +215,7 @@ def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
     g = cfg.grid
-    spec = ChaosGridSpec(
+    spec = _cli.ChaosGridSpec(
         base=cfg.params,
         c2_lo=g.c2_lo,
         c2_hi=g.c2_hi,
@@ -210,7 +230,7 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
         n_lyap=g.lyap,
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
-    result = chaos_grid(spec, workers=args.workers)
+    result = _cli.chaos_grid(spec, workers=args.workers)
     header = ["c2", "c3", "r2", "lambda1", "label"]
     c2, c3, r2s, lambda1, labels = ([getattr(c, f) for c in result.cells] for f in header)
     _write(out_dir, "chaos_grid.csv", header, [c2, c3, r2s, lambda1, labels])
@@ -219,7 +239,7 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
         size = spec.c2_points * spec.c3_points
         for i, r2 in enumerate(spec.r2_values):
             block = slice(i * size, (i + 1) * size)
-            svg = heatmap_svg(
+            svg = _cli.heatmap_svg(
                 c2[block],
                 c3[block],
                 lambda1[block],
@@ -234,7 +254,7 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_phase(cfg: RunConfig, args, out_dir: Path) -> int:
     def plot(n, x, y, label):
-        return scatter_svg(
+        return _cli.scatter_svg(
             x,
             y,
             xlabel="x",

@@ -11,9 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .dynamics import ModelParams, State
-from .lyapunov import DEFAULT_STEPS, SWEEP_STEPS
-from .orbit import DEFAULT_RECORD, DEFAULT_TRANSIENT
+from .dynamics import (
+    DEFAULT_RECORD,
+    DEFAULT_STEPS,
+    DEFAULT_TRANSIENT,
+    SWEEP_STEPS,
+    SWEEPABLE_PARAMETERS,
+    ModelParams,
+    State,
+)
 
 __all__ = [
     "ConfigError",
@@ -207,8 +213,6 @@ def _validate(cfg: RunConfig):
     if b.lyap < 1:
         raise ConfigError(f"key 'budgets.lyap' must be >= 1, got {b.lyap}")
     s = cfg.sweep
-    from .sweep import SWEEPABLE_PARAMETERS
-
     if s.parameter not in SWEEPABLE_PARAMETERS:
         raise ConfigError(
             f"key 'sweep.parameter' must be one of {', '.join(SWEEPABLE_PARAMETERS)}, "

@@ -4,10 +4,11 @@ A table is a header plus equal-length columns (numpy arrays, lists or
 ranges).  Each column gets one conversion, fixed once per file by the
 kind of its values: floats (and numpy float64) are written with 17
 significant digits, so that re-reading reproduces every value exactly;
-ints in decimal; strs quoted exactly as csv.writer quotes them.  One row
-template then formats CHUNK_ROWS rows per % call.  Rows end in '\n'
-regardless of platform, so output bytes are identical across runs and
-machines.
+ints in decimal; strs quoted when they hold a comma, a quote, a carriage
+return or a line feed, or are a lone empty field, as csv.writer quotes
+them from Python 3.13 on.  One row template then formats CHUNK_ROWS rows
+per % call.  Rows end in '\n' regardless of platform, so output bytes are
+identical across runs and machines.
 """
 from __future__ import annotations
 
@@ -21,9 +22,10 @@ __all__ = ["format_value", "render_csv", "write_csv", "read_csv"]
 
 # The %-conversion that gives format_value's output, per value type.
 _CONVERSION = {float: "%.17g", np.float64: "%.17g", int: "%d", str: "%s"}
-# Finds a character that makes csv.writer quote a field: the delimiter,
-# the quote character or a character of the line terminator, "\n".
-_QUOTABLE = re.compile('[,"\n]').search
+# Finds a character that makes a field quoted: the delimiter, the quote
+# character or a line break.  csv.writer with lineterminator "\n" leaves a
+# lone "\r" unquoted before Python 3.13, and csv.reader then splits the row.
+_QUOTABLE = re.compile('[,"\r\n]').search
 # Rows formatted into one string per file write.
 CHUNK_ROWS = 4096
 
@@ -37,7 +39,7 @@ def format_value(v) -> str:
 
 
 def _quote(s: str, lone: bool) -> str:
-    """s as csv.writer writes it, in a row of one field when lone."""
+    """s as a CSV field, in a row of one field when lone."""
     if _QUOTABLE(s) or (lone and s == ""):
         return '"' + s.replace('"', '""') + '"'
     return s

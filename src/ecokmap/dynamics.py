@@ -9,6 +9,11 @@ r1, r2 are logistic growth rates, c1/c4 self-limitation coefficients and
 c2/c3 cross-species competition coefficients.  Everything else in the
 package is built on the three functions defined here.  All operations are
 pure; values are frozen dataclasses.
+
+The step-budget defaults, the period tolerance, the sweepable parameter
+names and EscapedTooEarly also live here, because this module needs no
+numpy: the config parser and the CLI take them at import time without
+loading the engine.  orbit, lyapunov and sweep re-export them.
 """
 from __future__ import annotations
 
@@ -25,10 +30,27 @@ __all__ = [
     "eigenvalues_2x2",
     "R_MIN",
     "R_MAX",
+    "SWEEPABLE_PARAMETERS",
+    "DEFAULT_TRANSIENT",
+    "DEFAULT_RECORD",
+    "DEFAULT_STEPS",
+    "SWEEP_STEPS",
+    "PERIOD_TOL",
+    "EscapedTooEarly",
 ]
 
 R_MIN = 0.0
 R_MAX = 4.0
+SWEEPABLE_PARAMETERS = ("r1", "r2", "c1", "c2", "c3", "c4")
+
+# Step budgets: transient and recorded tail of an orbit, Lyapunov steps of
+# a single run and the cheaper per-point budget inside parameter sweeps.
+DEFAULT_TRANSIENT = 400
+DEFAULT_RECORD = 100
+DEFAULT_STEPS = 100_000
+SWEEP_STEPS = 20_000
+# Relative tolerance of period detection.
+PERIOD_TOL = 1e-6
 
 
 class NonFiniteStepError(ArithmeticError):
@@ -38,6 +60,10 @@ class NonFiniteStepError(ArithmeticError):
     that expect orbits to blow up (the orbit module) treat this as an
     outcome rather than letting NaNs propagate.
     """
+
+
+class EscapedTooEarly(RuntimeError):
+    """Orbit escaped before lyapunov.MIN_STEPS post-transient steps completed."""
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import ModelParams, State
-from .orbit import DEFAULT_TRANSIENT, ESCAPE_THRESHOLD
+from .dynamics import (
+    DEFAULT_STEPS,
+    DEFAULT_TRANSIENT,
+    SWEEP_STEPS,
+    EscapedTooEarly,
+    ModelParams,
+    State,
+)
+from .orbit import ESCAPE_THRESHOLD
 
 __all__ = [
     "LyapunovResult",
@@ -32,13 +39,6 @@ __all__ = [
 # eigenvalue somewhere along it) has a true exponent of -inf.
 LAMBDA_FLOOR = -50.0
 MIN_STEPS = 100
-DEFAULT_STEPS = 100_000
-# Cheaper per-point budget used inside parameter sweeps.
-SWEEP_STEPS = 20_000
-
-
-class EscapedTooEarly(RuntimeError):
-    """Orbit escaped before MIN_STEPS post-transient steps completed."""
 
 
 @dataclass(frozen=True)

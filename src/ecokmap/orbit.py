@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import ModelParams, State
+from .dynamics import DEFAULT_RECORD, DEFAULT_TRANSIENT, PERIOD_TOL, ModelParams, State
 
 __all__ = [
     "Settled",
     "Aperiodic",
     "Escaped",
     "Outcome",
+    "outcome_label",
     "OrbitRecord",
     "iterate",
     "detect_period",
@@ -35,9 +36,6 @@ __all__ = [
 ]
 
 ESCAPE_THRESHOLD = 1e6
-DEFAULT_TRANSIENT = 400
-DEFAULT_RECORD = 100
-PERIOD_TOL = 1e-6
 MAX_PERIOD = 64
 
 
@@ -57,6 +55,14 @@ class Escaped:
 
 
 Outcome = Settled | Aperiodic | Escaped
+
+
+def outcome_label(outcome: Outcome) -> str:
+    if isinstance(outcome, Settled):
+        return f"period-{outcome.period}"
+    if isinstance(outcome, Escaped):
+        return "escaped"
+    return "aperiodic"
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ what ties an SVG to its CSV: data-element count equals CSV row count.
 from __future__ import annotations
 
 import math
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -217,5 +216,7 @@ def heatmap_svg(xs, ys, values, *, xlabel: str, ylabel: str, title: str) -> str:
 
 def count_data_elements(svg_text: str) -> int:
     """Number of class="d" elements; tests pin this to the CSV row count."""
+    import xml.etree.ElementTree as ET  # the writers need no XML parser
+
     root = ET.fromstring(svg_text)
     return sum(1 for el in root.iter() if el.get("class") == "d")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels, orbit
-from .dynamics import ModelParams, State
+from .dynamics import SWEEPABLE_PARAMETERS, ModelParams, State
 from .lyapunov import LAMBDA_FLOOR, MIN_STEPS, SWEEP_STEPS
 from .orbit import (
     DEFAULT_RECORD,
@@ -28,8 +28,8 @@ from .orbit import (
     PERIOD_TOL,
     Escaped,
     OrbitRecord,
-    Settled,
     check_period_tol,
+    outcome_label,
 )
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "outcome_label",
     "bifurcation_table",
 ]
-
-SWEEPABLE_PARAMETERS = ("r1", "r2", "c1", "c2", "c3", "c4")
 
 
 def grid_values(lo: float, hi: float, n_points: int) -> np.ndarray:
@@ -218,14 +216,6 @@ class ChaosGridResult:
     c2_grid: np.ndarray
     c3_grid: np.ndarray
     cells: tuple[GridCell, ...]
-
-
-def outcome_label(outcome) -> str:
-    if isinstance(outcome, Settled):
-        return f"period-{outcome.period}"
-    if isinstance(outcome, Escaped):
-        return "escaped"
-    return "aperiodic"
 
 
 def bifurcation_table(result: SweepResult) -> tuple[list[str], list[np.ndarray]]:
