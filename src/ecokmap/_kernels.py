@@ -7,16 +7,26 @@ n_record steps and, during the first n_lyap, pushes an orthonormal frame
 (initially the identity) through the exact Jacobian, re-orthonormalizes
 it by Gram-Schmidt and stores the two norms of each step.  It stops at
 escape.  orbit_kernel runs it with n_lyap = 0, lyapunov_kernel with
-n_record = 0, and sweep._evaluate once per sweep or grid point.
+n_record = 0, and sweep._evaluate runs sweep and grid points through
+point_lanes, LANES points per call.
 
 The loop has two implementations with one contract, bitwise: _frame.c,
 compiled on the first kernel call, and _py_loop, on plain Python floats
 (math.sqrt is correctly rounded, like C's sqrt).  Both use only
 + - * /, sqrt and fabs in the same order, so they give the same bits;
-tests/test_kernels.py pins this.  The logs of the norms (LOG_ZERO for a
-norm that is not positive), their sequential np.cumsum and the ordering
-of the pair are taken afterwards in numpy on either path, so math.log
-against np.log never arises.
+tests/test_kernels.py pins this.  The compiled loop advances k points
+(lanes) in lockstep, a short stretch of each lane's chain of square
+roots and divisions per pass over the lanes, so the core overlaps the
+lanes' chains; each lane is bitwise a separate one-point call, and
+orbit_kernel and lyapunov_kernel are k = 1 calls of it.  On the Python
+loop the lanes run one after another.
+
+The logs of the norms (LOG_ZERO for a norm that is not positive) are
+taken afterwards with np.log on either path, so math.log against np.log
+never arises.  lyapunov_kernel keeps the running sums of the logs
+(np.cumsum, a sequential add); a sweep point needs only the last one,
+which row_sums adds up strictly left to right (in _frame.c, or in Python
+without a compiler), bitwise the last element of np.cumsum.
 
 Build: the first kernel call, never the import, compiles _frame.c with
 sysconfig's CC (or cc) into the package's __pycache__ (a private
@@ -39,6 +49,7 @@ import contextlib
 import functools
 import importlib
 import math
+import operator
 import os
 from pathlib import Path
 
@@ -48,6 +59,11 @@ import numpy as np
 # log of the smallest subnormal double.  Final exponents are floored far
 # above this, so the precise value never shows through.
 LOG_ZERO = -745.0
+
+# Points per point_lanes call in a sweep: enough independent chains to
+# keep the core's square-root and divide units busy, while the norm
+# buffer (2 * LANES * n_lyap floats) stays small.
+LANES = 4
 
 _SOURCE = Path(__file__).with_name("_frame.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -68,10 +84,9 @@ def _inside(x, y, threshold):
     return abs(x) <= threshold and abs(y) <= threshold
 
 
-def _log_sums(norms):
-    """Overwrite norms with the running sums of their logs (LOG_ZERO for a
-    norm that is not positive).  np.cumsum is a sequential add, so these
-    are bitwise the running accumulation."""
+def _log_norms(norms):
+    """Overwrite norms (an array or a view) with their logs, LOG_ZERO for
+    a norm that is not positive."""
     if norms.min() > 0.0:  # the usual case: no norm is zero or NaN
         np.log(norms, out=norms)
     else:
@@ -79,7 +94,24 @@ def _log_sums(norms):
         np.copyto(norms, 1.0, where=collapsed)
         np.log(norms, out=norms)
         np.copyto(norms, LOG_ZERO, where=collapsed)
-    np.cumsum(norms, out=norms)
+
+
+def _py_row_sums(rows, lengths):
+    """row_sums on plain Python floats: a strict left-to-right reduce
+    (never sum(), which compensates from Python 3.12)."""
+    out = np.zeros(len(lengths))
+    for r, n in enumerate(lengths):
+        if n:
+            out[r] = functools.reduce(operator.add, rows[r, :n].tolist())
+    return out
+
+
+def row_sums(rows, lengths):
+    """Sum of the first lengths[r] values of each row of the 2-D float64
+    array rows, strictly left to right from the first value (0.0 for
+    none): bitwise np.cumsum(rows[r, :lengths[r]])[-1].  Compiled where the
+    point loop is."""
+    return getattr(_loop(), "row_sums", _py_row_sums)(rows, lengths)
 
 
 def _ordered(a, b, floor):
@@ -99,6 +131,11 @@ def _py_loop(
     i < n_record and the two norms of step i to norm1[i], norm2[i] for
     i < n_lyap.  Returns (at_step, x, y): the 1-based step at which the
     state escaped (0 if it did not) and the last finite state.
+
+    A norm is NaN only where the frame meets a value that is not finite,
+    such as a start state that is not finite.  The sign and payload of a
+    NaN depend on the order of the operands, which a compiler may swap, so
+    both loops store a NaN norm as math.nan.
     """
     for n in range(1, n_transient + 1):
         xn, yn = _step_xy(r1, r2, c1, c2, c3, c4, x, y)
@@ -124,6 +161,8 @@ def _py_loop(
             if n1 > 0.0:
                 q1x = v1x / n1
                 q1y = v1y / n1
+            elif n1 != 0.0:
+                n1 = math.nan
             norm1[i] = n1
 
             proj = q1x * v2x + q1y * v2y
@@ -134,6 +173,8 @@ def _py_loop(
                 q2x = wx / n2
                 q2y = wy / n2
             else:
+                if n2 != 0.0:
+                    n2 = math.nan
                 q2x = -q1y
                 q2y = q1x
             norm2[i] = n2
@@ -163,25 +204,48 @@ def _address(buf, n):
     return buf.ctypes.data
 
 
-def _c_loop(fn):
-    """_py_loop's signature and results around the compiled point_loop."""
+def _c_loop(lib):
+    """_py_loop's signature and results around the compiled point_loop at
+    k = 1, with the k-lane call as its `lanes` attribute and the compiled
+    row_sums as its `row_sums`."""
     import ctypes
 
     dbl, ll, ptr = ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p
-    fn.argtypes = (ptr, dbl, dbl, ll, ll, ll, dbl, ptr, ptr, ptr, ptr)
-    fn.restype = ll
+    fn, sums = lib.point_loop, lib.row_sums
+    fn.argtypes = (ll, ptr, dbl, dbl, ll, ll, ll, dbl, ptr, ptr, ptr, ptr, ptr)
+    fn.restype = None
+    sums.argtypes = (ll, ll, ptr, ptr, ptr)
+    sums.restype = None
+
+    def lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
+        k = len(params)
+        flat = (dbl * (6 * k))(*(v for row in params for v in row))
+        last, at_step = (dbl * (2 * k))(), (ll * k)()
+        fn(
+            k, flat, x0, y0, n_transient, n_record, n_lyap, threshold,
+            _address(tail, 2 * n_record * k), _address(norm1, n_lyap * k),
+            _address(norm2, n_lyap * k), last, at_step,
+        )
+        return [(at_step[l], last[2 * l], last[2 * l + 1]) for l in range(k)]
 
     def loop(
         r1, r2, c1, c2, c3, c4, x, y, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2
     ):
-        params = (dbl * 6)(r1, r2, c1, c2, c3, c4)
-        last = (dbl * 2)()
-        at_step = fn(
-            params, x, y, n_transient, n_record, n_lyap, threshold,
-            _address(tail, 2 * n_record), _address(norm1, n_lyap), _address(norm2, n_lyap), last,
+        ((at_step, x, y),) = lanes(
+            [(r1, r2, c1, c2, c3, c4)], x, y, n_transient, n_record, n_lyap, threshold,
+            tail, norm1, norm2,
         )
-        return at_step, last[0], last[1]
+        return at_step, x, y
 
+    def row_sums(rows, lengths):
+        n_rows, stride = rows.shape
+        if any(not 0 <= n <= stride for n in lengths) or len(lengths) != n_rows:
+            raise ValueError(f"need {n_rows} row lengths in [0, {stride}], got {lengths}")
+        out = np.empty(n_rows)
+        sums(n_rows, stride, (ll * n_rows)(*lengths), _address(rows, rows.size), out.ctypes.data)
+        return out
+
+    loop.lanes, loop.row_sums = lanes, row_sums
     return loop
 
 
@@ -200,7 +264,7 @@ def _sha256():
 def _load(path: Path):
     import ctypes
 
-    return _c_loop(ctypes.CDLL(str(path)).point_loop)
+    return _c_loop(ctypes.CDLL(str(path)))
 
 
 def _compile(tmp: str, path: Path) -> None:
@@ -288,22 +352,71 @@ def point_loop(
     at_step, x, y = _loop()(
         r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2
     )
+    return _windows(at_step, n_transient, n_record, n_lyap) + (at_step, x, y)
+
+
+def _windows(at_step, n_transient, n_record, n_lyap):
+    """(tail rows, norm pairs) a point loop wrote before escaping at at_step."""
     if not at_step:
-        return n_record, n_lyap, 0, x, y
+        return n_record, n_lyap
     i = at_step - n_transient - 1  # post-transient index of the escaping step
-    return min(max(i, 0), n_record), min(max(i + 1, 0), n_lyap), at_step, x, y
+    return min(max(i, 0), n_record), min(max(i + 1, 0), n_lyap)
+
+
+def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
+    """point_loop for each of k parameter rows (r1, r2, c1, c2, c3, c4),
+    all from (x0, y0): k lanes in lockstep on the compiled loop, one
+    _py_loop call per lane on the Python loop.  Bitwise k point_loop calls.
+
+    tail has shape (>= k, n_record, 2) and norm1/norm2 (>= k, n_lyap);
+    lane l writes only tail[l], norm1[l] and norm2[l].  Returns one
+    (n_rec, n_used, at_step, x, y) tuple per lane, as point_loop does.
+    """
+    if min(len(tail), len(norm1), len(norm2)) < len(params):
+        raise ValueError(f"need buffers with at least {len(params)} lane rows")
+    loop = _loop()
+    lanes = getattr(loop, "lanes", None)
+    if lanes is not None:
+        runs = lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2)
+    else:
+        runs = [
+            loop(*row, x0, y0, n_transient, n_record, n_lyap, threshold, t, n1, n2)
+            for row, t, n1, n2 in zip(params, tail, norm1, norm2)
+        ]
+    return [
+        _windows(at_step, n_transient, n_record, n_lyap) + (at_step, x, y) for at_step, x, y in runs
+    ]
+
+
+def lane_lambda1(norms, n_used, floor):
+    """The largest exponent of each lane l from the norms of its first
+    n_used[l] steps, norms[0, l] and norms[1, l], which are overwritten
+    with their logs; NaN where n_used[l] is 0.
+
+    norms is a C-contiguous array of shape (2, >= k, n), k = len(n_used).
+    Each value is bitwise the last lambda1 of lyapunov_kernel's series,
+    without the series: the same logs (one np.log over the block when
+    every lane has an exponent, else one per lane that has), the same
+    sequential sums (row_sums) and the same ordering."""
+    k, lanes, width = len(n_used), norms.shape[1], norms.shape[2]
+    n = np.array(n_used)
+    lam = np.full(k, math.nan)
+    if n.all():
+        _log_norms(norms[:, :k, : n.max()])
+    else:  # log only the lanes that have an exponent
+        for lane in np.flatnonzero(n):
+            _log_norms(norms[:, lane, : n[lane]])
+    lengths = [*n_used, *[0] * (lanes - k)]
+    sums = row_sums(norms.reshape(2 * lanes, width), lengths + lengths).reshape(2, lanes)[:, :k]
+    ok = n > 0
+    lam[ok] = _ordered(sums[0, ok] / n[ok], sums[1, ok] / n[ok], floor)[0]
+    return lam.tolist()
 
 
 def final_lambda1(norm1, norm2, floor):
-    """The largest exponent from the norms of n >= 1 loop steps, which it
-    overwrites.
-
-    Bitwise the last lambda1 of lyapunov_kernel's series, without the
-    series: the same logs, sequential sums and ordering."""
-    n = len(norm1)
-    _log_sums(norm1)
-    _log_sums(norm2)
-    return float(_ordered(norm1[-1] / n, norm2[-1] / n, floor)[0])
+    """The largest exponent from the norms of n >= 1 loop steps: lane_lambda1
+    of a single lane."""
+    return lane_lambda1(np.stack((norm1, norm2))[:, None], [len(norm1)], floor)[0]
 
 
 def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold, out):
@@ -342,7 +455,8 @@ def lyapunov_kernel(
     s1 = lam1_series[:n_used]
     s2 = lam2_series[:n_used]
     for s in (s1, s2):
-        _log_sums(s)
+        _log_norms(s)
+        np.cumsum(s, out=s)
         s /= steps
     hi, lo = _ordered(s1, s2, floor)
     s1[:] = hi

@@ -301,6 +301,12 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"ecokmap: io error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as e:
+        # numpy's allocation error says what it could not allocate; a bare
+        # MemoryError says nothing.
+        detail = f": {e}" if str(e) else ""
+        print(f"ecokmap: out of memory{detail}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

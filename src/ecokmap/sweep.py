@@ -1,11 +1,13 @@
 """Batch engine: one-parameter bifurcation sweeps and (c2, c3) chaos grids.
 
 Every point of a sweep or grid (orbit tail + period label + largest
-Lyapunov exponent) is evaluated by one call of _kernels.point_loop, which
-iterates its transient once and then records the tail and the frame norms
-in shared steps; lambda1 is taken from the norms in numpy.  A point's
-result depends only on its own inputs, so results are bitwise identical
-whatever the grid size, point order or worker count;
+Lyapunov exponent) runs the point loop, which iterates its transient once
+and then records the tail and the frame norms in shared steps.  Points
+go through _kernels.point_lanes in blocks of _kernels.LANES, which the
+compiled loop advances in lockstep; each block's lambda1 values come
+from its norms through _kernels.lane_lambda1.  A point's result
+depends only on its own inputs, so results are bitwise identical
+whatever the grid size, point order, lane slot or worker count;
 tests/test_lanes.py pins each point against iterate + lyapunov_spectrum
 on both kernel backends.
 """
@@ -135,24 +137,28 @@ def _record(spec, tail: np.ndarray, at_step: int, last: tuple[float, float]) -> 
 
 
 def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, float]]:
-    """Yield (orbit record, lambda1) per parameter point, one point loop each.
+    """Yield (orbit record, lambda1) per parameter point, _kernels.LANES
+    points per point_lanes call.
 
-    One tail buffer and one pair of norm buffers serve every point: the
-    record copies its tail, and lambda1 is taken before the next point runs.
+    One (LANES, n_record, 2) tail buffer and one (2, LANES, n_lyap) norm
+    buffer serve every block: each record copies its tail, and a block's
+    lambda1 values are taken before the next block runs.
     """
-    tail = np.empty((spec.n_record, 2))
-    norm1, norm2 = np.empty(spec.n_lyap), np.empty(spec.n_lyap)
-    for p in params:
-        n_rec, n_used, at_step, x, y = _kernels.point_loop(
-            p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, spec.s0.x, spec.s0.y,
-            spec.n_transient, spec.n_record, spec.n_lyap, ESCAPE_THRESHOLD, tail, norm1, norm2,
+    lanes = _kernels.LANES
+    tail = np.empty((lanes, spec.n_record, 2))
+    # Ones, so the unwritten end of a row whose point escaped early never
+    # sends its block's logs down the slower zero-norm path.
+    norms = np.ones((2, lanes, spec.n_lyap))
+    for start in range(0, len(params), lanes):
+        rows = [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4) for p in params[start : start + lanes]]
+        runs = _kernels.point_lanes(
+            rows, spec.s0.x, spec.s0.y, spec.n_transient, spec.n_record, spec.n_lyap,
+            ESCAPE_THRESHOLD, tail, *norms,
         )
-        lam1 = (
-            _kernels.final_lambda1(norm1[:n_used], norm2[:n_used], LAMBDA_FLOOR)
-            if n_used >= MIN_STEPS
-            else math.nan
-        )
-        yield _record(spec, tail[:n_rec], at_step, (x, y)), lam1
+        n_used = [n if n >= MIN_STEPS else 0 for _, n, *_ in runs]
+        lam1 = _kernels.lane_lambda1(norms, n_used, LAMBDA_FLOOR)
+        for lane, (n_rec, _, at_step, x, y) in enumerate(runs):
+            yield _record(spec, tail[lane, :n_rec], at_step, (x, y)), lam1[lane]
 
 
 def bifurcation_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:

@@ -193,6 +193,32 @@ class TestExitCodes:
     def test_missing_config_file_is_3(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "nope.json")) == 3
 
+    @pytest.mark.parametrize(
+        "command, engine_name",
+        [("simulate", "iterate"), ("phase", "iterate"), ("lyapunov", "lyapunov_spectrum")],
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("Unable to allocate 149. GiB for an array"), MemoryError()],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_3(
+        self, config_path, tmp_path, capsys, monkeypatch, command, engine_name, error
+    ):
+        # A budget too large to allocate; never tested with a real huge
+        # allocation, which an overcommitting kernel may grant.
+        import ecokmap.cli
+
+        def allocate(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(ecokmap.cli, engine_name, allocate)
+        assert run(command, "--config", config_path(BASE), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ecokmap: out of memory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(error) in err
+
     @pytest.mark.parametrize("command", ["simulate", "phase", "bifurcate", "chaos-grid"])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_seed_tolerance_is_2(self, config_path, tmp_path, capsys, command, tol):

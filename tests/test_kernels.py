@@ -121,6 +121,15 @@ class TestCompiledAgainstPython:
             for row in zero_rows:
                 assert not norms[row].any()
 
+    def test_a_nan_norm_is_one_nan(self, compiled_loop):
+        # From (inf, nan) at r1 = r2 = 0 both norms of step 0 are NaN, with a
+        # sign that depends on the order in which the compiler takes the
+        # operands; both loops store math.nan.
+        p = ModelParams(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        assert assert_loops_agree(compiled_loop, p, (math.inf, math.nan), 0, 0, 1) == 1
+        norms = outputs(compiled_loop, p, (math.inf, math.nan), 0, 0, 1)[3]
+        assert norms == np.array([math.nan, math.nan]).tobytes()
+
     @given(
         st.tuples(
             st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
@@ -140,6 +149,158 @@ class TestCompiledAgainstPython:
     def test_build_flags_keep_ieee_arithmetic(self):
         assert {"-std=c99", "-ffp-contract=off"} <= set(_kernels._FLAGS)
         assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(_kernels._FLAGS)
+
+
+def lane_outputs(lanes, rows, s0, n_tr, n_rec, n_lyap, spare=2):
+    """Per-lane outputs of one k-lane call, in the form of outputs(), on
+    buffers with `spare` extra rows that must stay SENTINEL."""
+    k = len(rows)
+    tail = np.full((k + spare, n_rec, 2), SENTINEL)
+    norms = np.full((2, k + spare, n_lyap), SENTINEL)
+    runs = lanes(rows, *s0, n_tr, n_rec, n_lyap, ESCAPE_THRESHOLD, tail, *norms)
+    assert (tail[k:] == SENTINEL).all() and (norms[:, k:] == SENTINEL).all()
+    return [
+        (at_step, np.array([x, y]).tobytes(), tail[lane].tobytes(), norms[:, lane].tobytes())
+        for lane, (at_step, x, y) in enumerate(runs)
+    ]
+
+
+def assert_lanes_agree(compiled, rows, s0, n_tr, n_rec, n_lyap):
+    """The compiled k-lane loop against k separate _py_loop calls, bitwise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [outputs(_kernels._py_loop, ModelParams(*row), s0, n_tr, n_rec, n_lyap)
+                for row in rows]
+        got = lane_outputs(compiled.lanes, rows, s0, n_tr, n_rec, n_lyap)
+    assert got == want
+    return [lane[0] for lane in got]
+
+
+def row(p):
+    return (p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)
+
+
+class TestLanes:
+    N_TR, N_REC, N_LYAP = 20, 30, 300
+    # One point per kind of lane: escape in the transient, in the record
+    # window, in the Lyapunov window, never (chaotic, and both zero-norm
+    # branches), and at the last Lyapunov step.
+    POOL = [
+        (escaping_at(16), 16),
+        (escaping_at(N_TR + 10), N_TR + 10),
+        (REF, 0),
+        (escaping_at(N_TR + 200), N_TR + 200),
+        (replace(REF, r2=0.0), 0),
+        (escaping_at(N_TR + N_LYAP), N_TR + N_LYAP),
+        (ModelParams(0, 0, 1, 1, 1, 1), 0),
+    ]
+
+    @pytest.mark.parametrize("k", range(1, _kernels.LANES + 2))
+    def test_every_lane_count_and_slot(self, compiled_loop, k):
+        # Each rotation of the pool puts every kind of lane in every slot
+        # of a k-lane block, beside every other kind.
+        for shift in range(len(self.POOL)):
+            block = (self.POOL[shift:] + self.POOL[:shift])[:k]
+            at_steps = assert_lanes_agree(
+                compiled_loop, [row(p) for p, _ in block], ESCAPE_S0,
+                self.N_TR, self.N_REC, self.N_LYAP,
+            )
+            assert at_steps == [at for _, at in block]
+
+    def test_lanes_with_empty_windows(self, compiled_loop):
+        rows = [row(p) for p, _ in self.POOL[:_kernels.LANES]]
+        for n_rec, n_lyap in ((0, self.N_LYAP), (self.N_REC, 0), (0, 0)):
+            assert_lanes_agree(compiled_loop, rows, ESCAPE_S0, self.N_TR, n_rec, n_lyap)
+
+    def test_one_lane_is_the_point_loop(self, compiled_loop):
+        # orbit_kernel and lyapunov_kernel run the k = 1 call of the same loop.
+        for p, _ in self.POOL:
+            want = outputs(compiled_loop, p, ESCAPE_S0, self.N_TR, self.N_REC, self.N_LYAP)
+            got = lane_outputs(
+                compiled_loop.lanes, [row(p)], ESCAPE_S0, self.N_TR, self.N_REC, self.N_LYAP
+            )
+            assert got == [want]
+
+    def test_buffers_too_small_are_refused(self, compiled_loop):
+        rows = [row(REF)] * 3
+        small = np.zeros((2, self.N_LYAP))
+        with pytest.raises(ValueError, match="buffer"):
+            compiled_loop.lanes(
+                rows, 0.2, 0.1, 5, 0, self.N_LYAP, ESCAPE_THRESHOLD, None, small, small
+            )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+                *[st.one_of(st.just(0.0), st.floats(0.0, 3.0))] * 4,
+            ),
+            min_size=1,
+            max_size=_kernels.LANES + 1,
+        ),
+        st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, 1e6, -1e6, 1e300])),
+        st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, 5e5, -1e6])),
+        st.integers(0, 60),
+        st.integers(0, 40),
+        st.integers(0, MIN_STEPS + 80),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_blocks(self, compiled_loop, rows, x0, y0, n_tr, n_rec, n_lyap):
+        assert_lanes_agree(compiled_loop, rows, (x0, y0), n_tr, n_rec, n_lyap)
+
+
+class TestRowSums:
+    """row_sums, compiled and in Python, against the last element of
+    np.cumsum, bitwise: a strict left-to-right sum from the first value."""
+
+    @staticmethod
+    def implementations():
+        sums = [_kernels._py_row_sums]
+        compiled = getattr(_kernels._loop(), "row_sums", None)
+        return sums + ([compiled] if compiled is not None else [])
+
+    def assert_sums(self, rows, lengths):
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        want = [np.cumsum(r[:n])[-1] if n else 0.0 for r, n in zip(rows, lengths)]
+        for sums in self.implementations():
+            got = sums(rows, lengths)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), sums
+
+    def test_pairwise_np_sum_differs(self):
+        # 1e16 + 1 rounds back to 1e16, so adding fifteen ones one at a time
+        # leaves 1e16, while np.sum's pairwise blocks add the ones together.
+        v = np.array([1e16] + [1.0] * 15)
+        assert np.sum(v) != np.cumsum(v)[-1] == 1e16
+        self.assert_sums(v[None], [len(v)])
+
+    def test_single_values_and_empty_rows(self):
+        rows = np.array([[-0.0, 9.0], [_kernels.LOG_ZERO, 9.0], [2.5, 9.0], [1.0, 2.0]])
+        self.assert_sums(rows, [1, 1, 0, 2])
+        assert math.copysign(1.0, _kernels.row_sums(rows, [1, 1, 0, 2])[0]) == -1.0
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(-1e6, 1e6),
+                    st.floats(-800.0, 50.0),
+                    st.sampled_from([_kernels.LOG_ZERO, -0.0, 1e16, 5e-324]),
+                ),
+                max_size=300,
+            ),
+            min_size=1,
+            max_size=2 * _kernels.LANES + 1,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_rows(self, rows):
+        # Ragged rows padded with NaN: no sum may read past its length.
+        width = max(map(len, rows))
+        block = np.full((len(rows), width), math.nan)
+        for r, values in zip(block, rows):
+            r[: len(values)] = values
+        self.assert_sums(block, [len(values) for values in rows])
 
 
 class TestBackend:

@@ -239,3 +239,22 @@ class TestPointIndependence:
         for b, a, c in zip(batched, alone, reordered):
             assert b[0] == a[0] == c[0]
             assert bits(b[1]) == bits(a[1]) == bits(c[1])
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_every_point_in_every_lane_slot(self, request, monkeypatch, backend):
+        # Points run in blocks of LANES.  Rotating the list moves each point
+        # through every slot of a block, beside different neighbours, and
+        # the shorter prefixes end in partial blocks.
+        loop = request.getfixturevalue("compiled_loop") if backend == "c" else _kernels._py_loop
+        monkeypatch.setattr(_kernels, "_loop", lambda: loop)
+        spec = spec_for(ESCAPE_S0, 60, 30, 400)
+        alone = [next(sweep._evaluate(spec, [p])) for p in self.PARAMS]
+        n = len(self.PARAMS)
+        for shift in range(n):
+            order = [(i + shift) % n for i in range(n)]
+            for k in (_kernels.LANES - 1, _kernels.LANES + 1, n):
+                got = list(sweep._evaluate(spec, [self.PARAMS[i] for i in order[:k]]))
+                assert len(got) == k
+                for i, (rec, lam1) in zip(order, got):
+                    assert rec == alone[i][0]
+                    assert bits(lam1) == bits(alone[i][1])
