@@ -25,8 +25,8 @@ The logs of the norms (LOG_ZERO for a norm that is not positive) are
 taken afterwards with np.log on either path, so math.log against np.log
 never arises.  lyapunov_kernel keeps the running sums of the logs
 (np.cumsum, a sequential add); a sweep point needs only the last one,
-which row_sums adds up strictly left to right (in _frame.c, or in Python
-without a compiler), bitwise the last element of np.cumsum.
+which row_sums adds up strictly left to right in _frame.c, bitwise the
+last element of np.cumsum (which it takes without a compiler).
 
 Build: the first kernel call, never the import, compiles _frame.c with
 sysconfig's CC (or cc) into the package's __pycache__ (a private
@@ -49,7 +49,6 @@ import contextlib
 import functools
 import importlib
 import math
-import operator
 import os
 from pathlib import Path
 
@@ -97,13 +96,8 @@ def _log_norms(norms):
 
 
 def _py_row_sums(rows, lengths):
-    """row_sums on plain Python floats: a strict left-to-right reduce
-    (never sum(), which compensates from Python 3.12)."""
-    out = np.zeros(len(lengths))
-    for r, n in enumerate(lengths):
-        if n:
-            out[r] = functools.reduce(operator.add, rows[r, :n].tolist())
-    return out
+    """row_sums without a compiler: the last np.cumsum element of each row."""
+    return np.array([np.cumsum(rows[r, :n])[-1] if n else 0.0 for r, n in enumerate(lengths)])
 
 
 def row_sums(rows, lengths):
@@ -393,30 +387,21 @@ def lane_lambda1(norms, n_used, floor):
     n_used[l] steps, norms[0, l] and norms[1, l], which are overwritten
     with their logs; NaN where n_used[l] is 0.
 
-    norms is a C-contiguous array of shape (2, >= k, n), k = len(n_used).
-    Each value is bitwise the last lambda1 of lyapunov_kernel's series,
-    without the series: the same logs (one np.log over the block when
-    every lane has an exponent, else one per lane that has), the same
-    sequential sums (row_sums) and the same ordering."""
+    norms is a C-contiguous array of shape (2, >= k, n), k = len(n_used);
+    values past a lane's n_used[l] are never read.  Each value is bitwise
+    the last lambda1 of lyapunov_kernel's series, without the series: the
+    same logs (np.log, one call per lane), the same sequential sums
+    (row_sums) and the same ordering."""
     k, lanes, width = len(n_used), norms.shape[1], norms.shape[2]
     n = np.array(n_used)
     lam = np.full(k, math.nan)
-    if n.all():
-        _log_norms(norms[:, :k, : n.max()])
-    else:  # log only the lanes that have an exponent
-        for lane in np.flatnonzero(n):
-            _log_norms(norms[:, lane, : n[lane]])
+    for lane in np.flatnonzero(n):
+        _log_norms(norms[:, lane, : n[lane]])
     lengths = [*n_used, *[0] * (lanes - k)]
     sums = row_sums(norms.reshape(2 * lanes, width), lengths + lengths).reshape(2, lanes)[:, :k]
     ok = n > 0
     lam[ok] = _ordered(sums[0, ok] / n[ok], sums[1, ok] / n[ok], floor)[0]
     return lam.tolist()
-
-
-def final_lambda1(norm1, norm2, floor):
-    """The largest exponent from the norms of n >= 1 loop steps: lane_lambda1
-    of a single lane."""
-    return lane_lambda1(np.stack((norm1, norm2))[:, None], [len(norm1)], floor)[0]
 
 
 def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold, out):

@@ -146,9 +146,7 @@ def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, fl
     """
     lanes = _kernels.LANES
     tail = np.empty((lanes, spec.n_record, 2))
-    # Ones, so the unwritten end of a row whose point escaped early never
-    # sends its block's logs down the slower zero-norm path.
-    norms = np.ones((2, lanes, spec.n_lyap))
+    norms = np.empty((2, lanes, spec.n_lyap))
     for start in range(0, len(params), lanes):
         rows = [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4) for p in params[start : start + lanes]]
         runs = _kernels.point_lanes(

@@ -221,13 +221,21 @@ class TestLanes:
             )
             assert got == [want]
 
-    def test_buffers_too_small_are_refused(self, compiled_loop):
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_buffers_too_small_are_refused(self, request, monkeypatch, backend):
+        # Without the lane-row check, the Python lanes would zip the rows
+        # against the buffers and silently drop the points past them.
+        loop = request.getfixturevalue("compiled_loop") if backend == "c" else _kernels._py_loop
+        monkeypatch.setattr(_kernels, "_loop", lambda: loop)
         rows = [row(REF)] * 3
-        small = np.zeros((2, self.N_LYAP))
-        with pytest.raises(ValueError, match="buffer"):
-            compiled_loop.lanes(
-                rows, 0.2, 0.1, 5, 0, self.N_LYAP, ESCAPE_THRESHOLD, None, small, small
-            )
+        for n_tail, n_norm in ((2, 3), (3, 2)):
+            tail = np.full((n_tail, self.N_REC, 2), SENTINEL)
+            norms = np.full((2, n_norm, self.N_LYAP), SENTINEL)
+            with pytest.raises(ValueError, match="lane rows"):
+                _kernels.point_lanes(
+                    rows, 0.2, 0.1, 5, self.N_REC, self.N_LYAP, ESCAPE_THRESHOLD, tail, *norms
+                )
+            assert (tail == SENTINEL).all() and (norms == SENTINEL).all()
 
     @given(
         st.lists(
