@@ -6,34 +6,34 @@ max(n_record, n_lyap) steps records the tail states during the first
 n_record steps and, during the first n_lyap, pushes an orthonormal frame
 (initially the identity) through the exact Jacobian, re-orthonormalizes
 it by Gram-Schmidt and stores the two norms of each step.  It stops at
-escape.  orbit_kernel runs it with n_lyap = 0, lyapunov_kernel with
-n_record = 0, and sweep._evaluate runs sweep and grid points through
-point_lanes, LANES points per call.
+escape.  Its one entry, point_lanes, runs it for k points (lanes) at
+once: orbit_kernel is a one-lane call with n_lyap = 0, lyapunov_kernel
+one with n_record = 0, and sweep._evaluate runs LANES points per call.
+It refuses a budget below 0 and a run of over 2**63 - 1 steps, which the
+C loop's step counters would wrap.
 
-The loop has two implementations with one contract, bitwise: _frame.c,
-compiled on the first kernel call, and _py_loop, on plain Python floats
-(math.sqrt is correctly rounded, like C's sqrt).  Both use only
-+ - * /, sqrt and fabs in the same order, so they give the same bits;
-tests/test_kernels.py pins this.  The compiled loop advances k points
-(lanes) in lockstep, a short stretch of each lane's chain of square
-roots and divisions per pass over the lanes, so the core overlaps the
-lanes' chains; each lane is bitwise a separate one-point call, and
-orbit_kernel and lyapunov_kernel are k = 1 calls of it.  On the Python
-loop the lanes run one after another.
+A backend is one pair (lanes, row_sums): the compiled one wraps _frame.c;
+_PYTHON runs _py_loop, on plain Python floats (math.sqrt is correctly
+rounded, like C's sqrt), once per lane.  Both use only + - * /, sqrt and
+fabs in the same order, so they give the same bits; tests/test_kernels.py
+pins this.  The compiled loop advances its lanes in lockstep, so the core
+overlaps their chains of square roots and divisions; each lane is
+bitwise a one-lane call.
 
 The logs of the norms (LOG_ZERO for a norm that is not positive) are
-taken afterwards with np.log on either path, so math.log against np.log
-never arises.  lyapunov_kernel keeps the running sums of the logs
+taken afterwards with np.log on either backend, so math.log against
+np.log never arises.  lyapunov_kernel keeps the running sums of the logs
 (np.cumsum, a sequential add); a sweep point needs only the last one,
-which row_sums adds up strictly left to right in _frame.c, bitwise the
-last element of np.cumsum (which it takes without a compiler).
+which row_sums adds up strictly left to right, bitwise the last element
+of np.cumsum (which the Python backend takes).
 
 Build: the first kernel call, never the import, compiles _frame.c with
 sysconfig's CC (or cc) into the package's __pycache__ (a private
 temporary directory if that is not writable), under a name keyed by the
-SHA-256 of the source, the flags and the machine, and loads it with
-ctypes.  If there is no compiler, or the build or the load fails, the
-Python loop runs instead: slower, same results.  backend() says which.
+SHA-256 of the source, the flags and the machine, loads it with ctypes
+and deletes the other _frame-*.so builds there.  If there is no compiler,
+or the build or the load fails, the Python backend runs instead: slower,
+same results.  backend() says which.
 
 This module imports numpy, so it loads with the first engine module
 (orbit, lyapunov or sweep) that a caller uses: `import ecokmap` and
@@ -70,6 +70,7 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 # -ffast-math, -Ofast or -funsafe-math-optimizations, which reorder it.
 _FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
+_NO_WINDOW = np.empty((1, 0, 2))  # one lane's buffer for a window of no steps
 
 
 def _step_xy(r1, r2, c1, c2, c3, c4, x, y):
@@ -86,13 +87,10 @@ def _inside(x, y, threshold):
 def _log_norms(norms):
     """Overwrite norms (an array or a view) with their logs, LOG_ZERO for
     a norm that is not positive."""
-    if norms.min() > 0.0:  # the usual case: no norm is zero or NaN
-        np.log(norms, out=norms)
-    else:
-        collapsed = ~(norms > 0.0)
-        np.copyto(norms, 1.0, where=collapsed)
-        np.log(norms, out=norms)
-        np.copyto(norms, LOG_ZERO, where=collapsed)
+    collapsed = ~(norms > 0.0)
+    np.copyto(norms, 1.0, where=collapsed)
+    np.log(norms, out=norms)
+    np.copyto(norms, LOG_ZERO, where=collapsed)
 
 
 def _py_row_sums(rows, lengths):
@@ -105,7 +103,7 @@ def row_sums(rows, lengths):
     array rows, strictly left to right from the first value (0.0 for
     none): bitwise np.cumsum(rows[r, :lengths[r]])[-1].  Compiled where the
     point loop is."""
-    return getattr(_loop(), "row_sums", _py_row_sums)(rows, lengths)
+    return _loop()[1](rows, lengths)
 
 
 def _ordered(a, b, floor):
@@ -199,9 +197,7 @@ def _address(buf, n):
 
 
 def _c_loop(lib):
-    """_py_loop's signature and results around the compiled point_loop at
-    k = 1, with the k-lane call as its `lanes` attribute and the compiled
-    row_sums as its `row_sums`."""
+    """The compiled backend: (lanes, row_sums) around _frame.c's functions."""
     import ctypes
 
     dbl, ll, ptr = ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p
@@ -222,15 +218,6 @@ def _c_loop(lib):
         )
         return [(at_step[l], last[2 * l], last[2 * l + 1]) for l in range(k)]
 
-    def loop(
-        r1, r2, c1, c2, c3, c4, x, y, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2
-    ):
-        ((at_step, x, y),) = lanes(
-            [(r1, r2, c1, c2, c3, c4)], x, y, n_transient, n_record, n_lyap, threshold,
-            tail, norm1, norm2,
-        )
-        return at_step, x, y
-
     def row_sums(rows, lengths):
         n_rows, stride = rows.shape
         if any(not 0 <= n <= stride for n in lengths) or len(lengths) != n_rows:
@@ -239,8 +226,18 @@ def _c_loop(lib):
         sums(n_rows, stride, (ll * n_rows)(*lengths), _address(rows, rows.size), out.ctypes.data)
         return out
 
-    loop.lanes, loop.row_sums = lanes, row_sums
-    return loop
+    return lanes, row_sums
+
+
+def _py_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
+    """The compiled lanes' signature and results: one _py_loop call per lane."""
+    return [
+        _py_loop(*row, x0, y0, n_transient, n_record, n_lyap, threshold, t, n1, n2)
+        for row, t, n1, n2 in zip(params, tail, norm1, norm2)
+    ]
+
+
+_PYTHON = (_py_lanes, _py_row_sums)
 
 
 def _sha256():
@@ -279,7 +276,8 @@ def _compile(tmp: str, path: Path) -> None:
 
 def _build_and_load(path: Path):
     """Build the library at path, or in a private temporary directory if
-    path's directory is not writable, and load it; None if the build fails."""
+    path's directory is not writable, load it and delete the older builds
+    beside it (not a concurrent build's temporary); None if the build fails."""
     import shutil
     import subprocess
     import tempfile
@@ -295,7 +293,12 @@ def _build_and_load(path: Path):
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
         os.close(fd)
         _compile(tmp, path)
-        return _load(path)
+        loaded = _load(path)
+        for old in path.parent.glob("_frame-*.so"):
+            if old != path:
+                with contextlib.suppress(OSError):
+                    old.unlink()
+        return loaded
     except subprocess.SubprocessError:
         return None
     finally:
@@ -304,8 +307,8 @@ def _build_and_load(path: Path):
 
 
 def _compiled():
-    """The compiled point loop, built on first use and cached; None when
-    there is no compiler or the build or the load fails."""
+    """The compiled backend, built on first use and cached; None when there
+    is no compiler or the build or the load fails."""
     import platform
 
     try:
@@ -320,66 +323,44 @@ def _compiled():
 
 @functools.cache
 def _loop():
-    """The point loop that runs: the compiled one if it builds and loads,
-    else _py_loop.  Resolved on the first kernel call, once per process."""
-    return _compiled() or _py_loop
+    """The backend that runs: the compiled (lanes, row_sums) pair if it
+    builds and loads, else _PYTHON.  Resolved on the first kernel call,
+    once per process."""
+    return _compiled() or _PYTHON
 
 
 def backend() -> str:
     """Which point loop runs: "c" (the compiled one) or "python".
 
     Loads the compiled loop, building it first if it is not cached."""
-    return "python" if _loop() is _py_loop else "c"
-
-
-def point_loop(
-    r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2
-):
-    """Run the point loop (see the module docstring) on whichever backend runs.
-
-    tail has shape (n_record, 2) and norm1/norm2 hold n_lyap values; a
-    buffer whose window is empty may be None.  Returns
-    (n_rec, n_used, at_step, x, y): the tail rows and norm pairs written,
-    the 1-based step at which the state escaped (0 if it did not within
-    n_transient + max(n_record, n_lyap) steps) and the last finite state.
-    """
-    at_step, x, y = _loop()(
-        r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2
-    )
-    return _windows(at_step, n_transient, n_record, n_lyap) + (at_step, x, y)
-
-
-def _windows(at_step, n_transient, n_record, n_lyap):
-    """(tail rows, norm pairs) a point loop wrote before escaping at at_step."""
-    if not at_step:
-        return n_record, n_lyap
-    i = at_step - n_transient - 1  # post-transient index of the escaping step
-    return min(max(i, 0), n_record), min(max(i + 1, 0), n_lyap)
+    return "python" if _loop() is _PYTHON else "c"
 
 
 def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
-    """point_loop for each of k parameter rows (r1, r2, c1, c2, c3, c4),
-    all from (x0, y0): k lanes in lockstep on the compiled loop, one
-    _py_loop call per lane on the Python loop.  Bitwise k point_loop calls.
+    """Run the point loop (see the module docstring) on whichever backend
+    runs, for each of k parameter rows (r1, r2, c1, c2, c3, c4), all from
+    (x0, y0).  Each lane is bitwise a one-lane call.
 
     tail has shape (>= k, n_record, 2) and norm1/norm2 (>= k, n_lyap);
     lane l writes only tail[l], norm1[l] and norm2[l].  Returns one
-    (n_rec, n_used, at_step, x, y) tuple per lane, as point_loop does.
+    (n_rec, n_used, at_step, x, y) tuple per lane: the tail rows and norm
+    pairs written, the 1-based step at which the state escaped (0 if it
+    did not within n_transient + max(n_record, n_lyap) steps) and the last
+    finite state.
     """
     if min(len(tail), len(norm1), len(norm2)) < len(params):
         raise ValueError(f"need buffers with at least {len(params)} lane rows")
-    loop = _loop()
-    lanes = getattr(loop, "lanes", None)
-    if lanes is not None:
-        runs = lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2)
-    else:
-        runs = [
-            loop(*row, x0, y0, n_transient, n_record, n_lyap, threshold, t, n1, n2)
-            for row, t, n1, n2 in zip(params, tail, norm1, norm2)
-        ]
-    return [
-        _windows(at_step, n_transient, n_record, n_lyap) + (at_step, x, y) for at_step, x, y in runs
-    ]
+    if min(n_transient, n_record, n_lyap) < 0 or n_transient + max(n_record, n_lyap) > 2**63 - 1:
+        raise ValueError(
+            f"need budgets >= 0, 2**63 - 1 steps at most, got {n_transient}, {n_record}, {n_lyap}"
+        )
+    runs = _loop()[0](params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2)
+    results = []
+    for at_step, x, y in runs:
+        # Post-transient index of the escaping step; past both windows if none.
+        i = at_step - n_transient - 1 if at_step else max(n_record, n_lyap)
+        results.append((min(max(i, 0), n_record), min(max(i + 1, 0), n_lyap), at_step, x, y))
+    return results
 
 
 def lane_lambda1(norms, n_used, floor):
@@ -412,9 +393,9 @@ def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold
     index at which escape was detected (0 if no escape); escaped states are
     never written to out.
     """
-    n_rec, _, at_step, _, _ = point_loop(
-        r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_total - n_transient, 0, threshold,
-        out, None, None,
+    ((n_rec, _, at_step, _, _),) = point_lanes(
+        [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, n_total - n_transient, 0, threshold,
+        out[None], _NO_WINDOW, _NO_WINDOW,
     )
     return n_rec, at_step > 0, at_step
 
@@ -430,9 +411,9 @@ def lyapunov_kernel(
     (sorted so series 1 >= series 2, floored at `floor`).  Returns
     (lambda1, lambda2, n_used, escaped, at_step).
     """
-    _, n_used, at_step, _, _ = point_loop(
-        r1, r2, c1, c2, c3, c4, x0, y0, n_transient, 0, n_iter, threshold,
-        None, lam1_series, lam2_series,
+    ((_, n_used, at_step, _, _),) = point_lanes(
+        [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, 0, n_iter, threshold,
+        _NO_WINDOW, lam1_series[None], lam2_series[None],
     )
     if n_used == 0:
         return 0.0, 0.0, 0, at_step > 0, at_step

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ecokmap import _kernels
 from ecokmap.cli import main
 from ecokmap.csvio import read_csv
 from ecokmap.svgplot import count_data_elements
@@ -257,6 +258,20 @@ class TestExitCodes:
         assert run(
             command, "--config", config_path(BASE), "--out", str(tmp_path / "o"), "--steps", "0"
         ) == 2
+
+    def test_budget_beyond_int64_is_2(self, config_path, tmp_path, capsys, monkeypatch):
+        # 2**64 + 100 transient steps, which ctypes would wrap to 100.  The
+        # run must be refused before any lanes run: reaching them fails.
+        def lanes(*args):
+            raise AssertionError("a refused budget reached the lanes")
+
+        monkeypatch.setattr(_kernels, "_loop", lambda: (lanes, _kernels._py_row_sums))
+        assert run(
+            "simulate", "--config", config_path(BASE), "--out", str(tmp_path / "o"),
+            "--transient", str(2**64 + 100), "--steps", "3",
+        ) == 2
+        assert "2**63 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["bifurcate", "chaos-grid"])
     def test_single_point_grid_is_2(self, config_path, tmp_path, command):

@@ -1,10 +1,11 @@
 """The point loop: compiled against Python bitwise, its loader, its cost.
 
-Both loops take the same arguments and fill the same buffers; every
-output (escape step, last finite state, tail rows, norm pairs) must agree
-bit for bit, and neither may write outside its windows.  The loader tests
-point _kernels at an empty cache in a temporary directory and resolve the
-loop anew, so they never touch the package's own cache.
+The compiled lanes, at every lane count k from 1, run against k separate
+_py_loop calls on the same arguments; every output (escape step, last
+finite state, tail rows, norm pairs) must agree bit for bit, and neither
+may write outside its windows.  The loader tests point _kernels at an
+empty cache in a temporary directory and resolve the backend anew, so
+they never touch the package's own cache.
 """
 import functools
 import math
@@ -42,17 +43,24 @@ def escaping_at(k: int) -> ModelParams:
 
 
 @pytest.fixture(scope="module")
-def compiled_loop():
-    loop = _kernels._loop()
-    if loop is _kernels._py_loop:
+def compiled():
+    """The compiled backend's (lanes, row_sums) pair."""
+    pair = _kernels._loop()
+    if pair is _kernels._PYTHON:
         pytest.skip("no C compiler: the compiled point loop is not available")
-    return loop
+    return pair
 
 
-def outputs(loop, p, s0, n_tr, n_rec, n_lyap):
+@pytest.fixture(scope="module")
+def lanes(compiled):
+    return compiled[0]
+
+
+def outputs(p, s0, n_tr, n_rec, n_lyap):
+    """_py_loop's escape step, last state, tail rows and norm pairs, as bytes."""
     tail = np.full((n_rec, 2), SENTINEL)
     norms = np.full((2, n_lyap), SENTINEL)
-    at_step, x, y = loop(
+    at_step, x, y = _kernels._py_loop(
         p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, *s0, n_tr, n_rec, n_lyap,
         ESCAPE_THRESHOLD, tail, *norms,
     )
@@ -60,16 +68,14 @@ def outputs(loop, p, s0, n_tr, n_rec, n_lyap):
     return at_step, last, tail.tobytes(), norms.tobytes()
 
 
-def assert_loops_agree(compiled, p, s0, n_tr, n_rec, n_lyap):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        want = outputs(_kernels._py_loop, p, s0, n_tr, n_rec, n_lyap)
-        got = outputs(compiled, p, s0, n_tr, n_rec, n_lyap)
-    assert got == want
-    return got[0]
+def row(p):
+    return (p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)
 
 
 class TestCompiledAgainstPython:
+    """One compiled lane against _py_loop: the form of every orbit_kernel
+    and lyapunov_kernel call."""
+
     N_TR, N_REC, N_LYAP = 20, 30, 300
 
     @pytest.mark.parametrize(
@@ -107,27 +113,26 @@ class TestCompiledAgainstPython:
             pytest.param(REF, (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="chaotic"),
         ],
     )
-    def test_engineered_cases(self, compiled_loop, p, s0, n_tr, n_rec, n_lyap, at_step):
-        assert assert_loops_agree(compiled_loop, p, s0, n_tr, n_rec, n_lyap) == at_step
+    def test_engineered_cases(self, lanes, p, s0, n_tr, n_rec, n_lyap, at_step):
+        assert assert_lanes_agree(lanes, [row(p)], s0, n_tr, n_rec, n_lyap) == [at_step]
 
-    def test_zero_norms_take_their_branches(self, compiled_loop):
+    def test_zero_norms_take_their_branches(self, lanes):
         for p, zero_rows in ((replace(REF, r2=0.0), [1]), (ModelParams(0, 0, 1, 1, 1, 1), [0, 1])):
-            norms = np.empty((2, 50))
-            at_step, *_ = compiled_loop(
-                p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, 10, 0, 50, ESCAPE_THRESHOLD,
-                None, *norms,
+            norms = np.empty((2, 1, 50))
+            ((at_step, *_),) = lanes(
+                [row(p)], 0.2, 0.1, 10, 0, 50, ESCAPE_THRESHOLD, _kernels._NO_WINDOW, *norms
             )
             assert at_step == 0
-            for row in zero_rows:
-                assert not norms[row].any()
+            for r in zero_rows:
+                assert not norms[r].any()
 
-    def test_a_nan_norm_is_one_nan(self, compiled_loop):
+    def test_a_nan_norm_is_one_nan(self, lanes):
         # From (inf, nan) at r1 = r2 = 0 both norms of step 0 are NaN, with a
         # sign that depends on the order in which the compiler takes the
         # operands; both loops store math.nan.
         p = ModelParams(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-        assert assert_loops_agree(compiled_loop, p, (math.inf, math.nan), 0, 0, 1) == 1
-        norms = outputs(compiled_loop, p, (math.inf, math.nan), 0, 0, 1)[3]
+        assert assert_lanes_agree(lanes, [row(p)], (math.inf, math.nan), 0, 0, 1) == [1]
+        ((*_, norms),) = lane_outputs(lanes, [row(p)], (math.inf, math.nan), 0, 0, 1)
         assert norms == np.array([math.nan, math.nan]).tobytes()
 
     @given(
@@ -143,8 +148,8 @@ class TestCompiledAgainstPython:
         st.integers(0, MIN_STEPS + 80),
     )
     @settings(max_examples=200, deadline=None)
-    def test_random_points(self, compiled_loop, row, x0, y0, n_tr, n_rec, n_lyap):
-        assert_loops_agree(compiled_loop, ModelParams(*row), (x0, y0), n_tr, n_rec, n_lyap)
+    def test_random_points(self, lanes, params, x0, y0, n_tr, n_rec, n_lyap):
+        assert_lanes_agree(lanes, [params], (x0, y0), n_tr, n_rec, n_lyap)
 
     def test_build_flags_keep_ieee_arithmetic(self):
         assert {"-std=c99", "-ffp-contract=off"} <= set(_kernels._FLAGS)
@@ -165,19 +170,14 @@ def lane_outputs(lanes, rows, s0, n_tr, n_rec, n_lyap, spare=2):
     ]
 
 
-def assert_lanes_agree(compiled, rows, s0, n_tr, n_rec, n_lyap):
+def assert_lanes_agree(lanes, rows, s0, n_tr, n_rec, n_lyap):
     """The compiled k-lane loop against k separate _py_loop calls, bitwise."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = [outputs(_kernels._py_loop, ModelParams(*row), s0, n_tr, n_rec, n_lyap)
-                for row in rows]
-        got = lane_outputs(compiled.lanes, rows, s0, n_tr, n_rec, n_lyap)
+        want = [outputs(ModelParams(*r), s0, n_tr, n_rec, n_lyap) for r in rows]
+        got = lane_outputs(lanes, rows, s0, n_tr, n_rec, n_lyap)
     assert got == want
     return [lane[0] for lane in got]
-
-
-def row(p):
-    return (p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)
 
 
 class TestLanes:
@@ -196,37 +196,28 @@ class TestLanes:
     ]
 
     @pytest.mark.parametrize("k", range(1, _kernels.LANES + 2))
-    def test_every_lane_count_and_slot(self, compiled_loop, k):
+    def test_every_lane_count_and_slot(self, lanes, k):
         # Each rotation of the pool puts every kind of lane in every slot
         # of a k-lane block, beside every other kind.
         for shift in range(len(self.POOL)):
             block = (self.POOL[shift:] + self.POOL[:shift])[:k]
             at_steps = assert_lanes_agree(
-                compiled_loop, [row(p) for p, _ in block], ESCAPE_S0,
+                lanes, [row(p) for p, _ in block], ESCAPE_S0,
                 self.N_TR, self.N_REC, self.N_LYAP,
             )
             assert at_steps == [at for _, at in block]
 
-    def test_lanes_with_empty_windows(self, compiled_loop):
+    def test_lanes_with_empty_windows(self, lanes):
         rows = [row(p) for p, _ in self.POOL[:_kernels.LANES]]
         for n_rec, n_lyap in ((0, self.N_LYAP), (self.N_REC, 0), (0, 0)):
-            assert_lanes_agree(compiled_loop, rows, ESCAPE_S0, self.N_TR, n_rec, n_lyap)
-
-    def test_one_lane_is_the_point_loop(self, compiled_loop):
-        # orbit_kernel and lyapunov_kernel run the k = 1 call of the same loop.
-        for p, _ in self.POOL:
-            want = outputs(compiled_loop, p, ESCAPE_S0, self.N_TR, self.N_REC, self.N_LYAP)
-            got = lane_outputs(
-                compiled_loop.lanes, [row(p)], ESCAPE_S0, self.N_TR, self.N_REC, self.N_LYAP
-            )
-            assert got == [want]
+            assert_lanes_agree(lanes, rows, ESCAPE_S0, self.N_TR, n_rec, n_lyap)
 
     @pytest.mark.parametrize("backend", ["c", "python"])
     def test_buffers_too_small_are_refused(self, request, monkeypatch, backend):
         # Without the lane-row check, the Python lanes would zip the rows
         # against the buffers and silently drop the points past them.
-        loop = request.getfixturevalue("compiled_loop") if backend == "c" else _kernels._py_loop
-        monkeypatch.setattr(_kernels, "_loop", lambda: loop)
+        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
+        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
         rows = [row(REF)] * 3
         for n_tail, n_norm in ((2, 3), (3, 2)):
             tail = np.full((n_tail, self.N_REC, 2), SENTINEL)
@@ -254,8 +245,83 @@ class TestLanes:
         st.integers(0, MIN_STEPS + 80),
     )
     @settings(max_examples=100, deadline=None)
-    def test_random_blocks(self, compiled_loop, rows, x0, y0, n_tr, n_rec, n_lyap):
-        assert_lanes_agree(compiled_loop, rows, (x0, y0), n_tr, n_rec, n_lyap)
+    def test_random_blocks(self, lanes, rows, x0, y0, n_tr, n_rec, n_lyap):
+        assert_lanes_agree(lanes, rows, (x0, y0), n_tr, n_rec, n_lyap)
+
+
+class Reached(Exception):
+    """A budget too long to run in a test reached a backend's lanes."""
+
+
+class TestBudgets:
+    """point_lanes refuses a negative budget and a run longer than the C
+    loop's long long step counters hold, which ctypes would wrap."""
+
+    @pytest.fixture(params=["c", "python"])
+    def guarded(self, request, monkeypatch):
+        """_loop patched to the backend with lanes that run short budgets
+        and raise Reached for long ones, so no test can start a long run."""
+        pair = request.getfixturevalue("compiled") if request.param == "c" else _kernels._PYTHON
+
+        def lanes(params, x0, y0, n_tr, n_rec, n_lyap, *rest):
+            if n_tr + max(n_rec, n_lyap) > 100:
+                raise Reached
+            return pair[0](params, x0, y0, n_tr, n_rec, n_lyap, *rest)
+
+        monkeypatch.setattr(_kernels, "_loop", lambda: (lanes, pair[1]))
+
+    @staticmethod
+    def run(n_tr, n_rec, n_lyap):
+        tail, norms = np.empty((1, 10, 2)), np.empty((2, 1, 10))
+        return _kernels.point_lanes(
+            [row(REF)], 0.2, 0.1, n_tr, n_rec, n_lyap, ESCAPE_THRESHOLD, tail, *norms
+        )
+
+    @pytest.mark.parametrize(
+        "n_tr, n_rec, n_lyap",
+        [(-1, 10, 10), (5, -1, 10), (5, 10, -1), (2**63 - 10, 10, 0), (2**63 - 10, 0, 10),
+         (2**64 + 100, 3, 0), (2**63, 0, 0)],
+    )
+    def test_out_of_range_budgets_are_refused(self, guarded, n_tr, n_rec, n_lyap):
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            self.run(n_tr, n_rec, n_lyap)
+
+    def test_budgets_in_range_reach_the_lanes(self, guarded):
+        ((n_rec, n_used, at_step, *_),) = self.run(5, 10, 10)
+        assert (n_rec, n_used, at_step) == (10, 10, 0)
+        # The longest run allowed passes the check; the guard stops it.
+        with pytest.raises(Reached):
+            self.run(2**63 - 11, 10, 10)
+
+
+class TestLogNorms:
+    """_log_norms, the one log path of orbit, Lyapunov and sweep norms."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=5e-324, allow_infinity=False),
+                st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),  # subnormal
+                st.sampled_from([0.0, math.inf, math.nan, 5e-324, 1.0]),
+            ),
+            min_size=2,
+            max_size=60,
+        ),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_views_match_elementwise_logs(self, values, lane):
+        # A (2, n) view of lane `lane` in a (2, 3, width) buffer, as
+        # lane_lambda1 takes it; the other values must stay SENTINEL.
+        n = len(values) // 2
+        buf = np.full((2, 3, n + 2), SENTINEL)
+        view = buf[:, lane, :n]
+        view[...] = np.reshape(values[: 2 * n], (2, n))
+        want = [np.log(v) if v > 0.0 else _kernels.LOG_ZERO for v in view.ravel().tolist()]
+        _kernels._log_norms(view)
+        assert view.tobytes() == np.array(want).tobytes()
+        view[...] = SENTINEL
+        assert (buf == SENTINEL).all()
 
 
 class TestRowSums:
@@ -264,9 +330,7 @@ class TestRowSums:
 
     @staticmethod
     def implementations():
-        sums = [_kernels._py_row_sums]
-        compiled = getattr(_kernels._loop(), "row_sums", None)
-        return sums + ([compiled] if compiled is not None else [])
+        return {_kernels._py_row_sums, _kernels._loop()[1]}
 
     def assert_sums(self, rows, lengths):
         rows = np.ascontiguousarray(rows, dtype=np.float64)
@@ -312,11 +376,11 @@ class TestRowSums:
 
 
 class TestBackend:
-    def test_names_the_loop_that_runs(self, monkeypatch, compiled_loop):
+    def test_names_the_loop_that_runs(self, monkeypatch, compiled):
         assert "backend" in ecokmap.__all__
-        monkeypatch.setattr(_kernels, "_loop", lambda: compiled_loop)
+        monkeypatch.setattr(_kernels, "_loop", lambda: compiled)
         assert ecokmap.backend() == "c"
-        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._py_loop)
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
         assert ecokmap.backend() == "python"
 
 
@@ -380,7 +444,7 @@ class TestLoader:
         assert listing(Path(_kernels.__file__).with_name("__pycache__")) == package
 
     def test_builds_into_an_empty_cache_and_reuses_it(
-        self, want, fresh, monkeypatch, tmp_path, compiled_loop
+        self, want, fresh, monkeypatch, tmp_path, compiled
     ):
         cache, tmp = fresh
         assert ecokmap.backend() == "c"
@@ -395,8 +459,21 @@ class TestLoader:
         assert ecokmap.backend() == "c"
         assert listing(cache) == [built.name]
 
+    def test_a_build_deletes_stale_builds(self, want, fresh, compiled):
+        # A build from an earlier source is gone once the new one is built;
+        # another build's mkstemp temporary is not a _frame-*.so and stays.
+        cache, _ = fresh
+        cache.mkdir()
+        stale, temporary = cache / "_frame-0000000000000000.so", cache / "tmp1a2b3c4d.so"
+        stale.write_bytes(b"")
+        temporary.write_bytes(b"")
+        assert ecokmap.backend() == "c"
+        (built,) = cache.glob("_frame-*.so")
+        assert built != stale and temporary.exists()
+        assert results() == want
+
     def test_unwritable_cache_builds_in_a_private_directory(
-        self, want, fresh, monkeypatch, tmp_path, compiled_loop
+        self, want, fresh, monkeypatch, tmp_path, compiled
     ):
         _, tmp = fresh
         (tmp_path / "file").write_text("")

@@ -77,11 +77,12 @@ def escape_step(p, s0, limit):
 
 
 @pytest.fixture(scope="module")
-def compiled_loop():
-    loop = _kernels._loop()
-    if loop is _kernels._py_loop:
+def compiled():
+    """The compiled backend's (lanes, row_sums) pair."""
+    pair = _kernels._loop()
+    if pair is _kernels._PYTHON:
         pytest.skip("no C compiler: the compiled point loop is not available")
-    return loop
+    return pair
 
 
 class TestAgainstOracle:
@@ -89,8 +90,8 @@ class TestAgainstOracle:
     case on the Python loop."""
 
     @pytest.fixture(autouse=True)
-    def kernel_loop(self, monkeypatch, compiled_loop):
-        monkeypatch.setattr(_kernels, "_loop", lambda: compiled_loop)
+    def kernel_loop(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "_loop", lambda: compiled)
 
     def test_escape_at_every_stage(self):
         n_tr, n_rec, n_lyap = 40, 30, 300
@@ -157,9 +158,9 @@ class TestAgainstOracle:
         n_tr, n_lyap, floor = 10, 150, 2 * _kernels.LOG_ZERO
         got = []
         for p in params:
-            tail, norms = np.empty((20, 2)), (np.empty(n_lyap), np.empty(n_lyap))
-            _, n_used, *_ = _kernels.point_loop(
-                p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, n_tr, 20, n_lyap,
+            tail, norms = np.empty((1, 20, 2)), np.empty((2, 1, n_lyap))
+            ((_, n_used, *_),) = _kernels.point_lanes(
+                [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)], 0.2, 0.1, n_tr, 20, n_lyap,
                 ESCAPE_THRESHOLD, tail, *norms,
             )
             assert n_used == n_lyap
@@ -168,7 +169,7 @@ class TestAgainstOracle:
                 p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, n_tr, n_lyap,
                 ESCAPE_THRESHOLD, floor, *series,
             )[0]
-            got.append(_kernels.lane_lambda1(np.stack(norms)[:, None], [n_lyap], floor)[0])
+            got.append(_kernels.lane_lambda1(norms, [n_lyap], floor)[0])
             assert bits(got[-1]) == bits(want)
         assert got[1] == _kernels.LOG_ZERO
 
@@ -214,7 +215,7 @@ class TestAgainstOracleOnPython(TestAgainstOracle):
 
     @pytest.fixture(autouse=True)
     def kernel_loop(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._py_loop)
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
 
 
 class TestPointIndependence:
@@ -245,8 +246,8 @@ class TestPointIndependence:
         # Points run in blocks of LANES.  Rotating the list moves each point
         # through every slot of a block, beside different neighbours, and
         # the shorter prefixes end in partial blocks.
-        loop = request.getfixturevalue("compiled_loop") if backend == "c" else _kernels._py_loop
-        monkeypatch.setattr(_kernels, "_loop", lambda: loop)
+        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
+        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
         spec = spec_for(ESCAPE_S0, 60, 30, 400)
         alone = [next(sweep._evaluate(spec, [p])) for p in self.PARAMS]
         n = len(self.PARAMS)
