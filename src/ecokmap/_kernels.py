@@ -10,7 +10,9 @@ escape.  Its one entry, point_lanes, runs it for k points (lanes) at
 once: orbit_kernel is a one-lane call with n_lyap = 0, lyapunov_kernel
 one with n_record = 0, and sweep._evaluate runs LANES points per call.
 It refuses a budget below 0 and a run of over 2**63 - 1 steps, which the
-C loop's step counters would wrap.
+C loop's step counters would wrap.  Its buffer checks, and row_sums'
+row-length check, sit above the backends, so both refuse the same
+inputs and neither checks again.
 
 A backend is one pair (lanes, row_sums): the compiled one wraps _frame.c;
 _PYTHON runs _py_loop, on plain Python floats (math.sqrt is correctly
@@ -30,8 +32,9 @@ of np.cumsum (which the Python backend takes).
 Build: the first kernel call, never the import, compiles _frame.c with
 sysconfig's CC (or cc) into the package's __pycache__ (a private
 temporary directory if that is not writable), under a name keyed by the
-SHA-256 of the source, the flags and the machine, loads it with ctypes
-and deletes the other _frame-*.so builds there.  If there is no compiler,
+SHA-256 of the source, the flags and the machine, and loads it with
+ctypes.  Every successful load, of a new build or a cached one, deletes
+the other _frame-*.so builds beside it.  If there is no compiler,
 or the build or the load fails, the Python backend runs instead: slower,
 same results.  backend() says which.
 
@@ -70,7 +73,8 @@ _CACHE_DIR = Path(__file__).with_name("__pycache__")
 # -ffast-math, -Ofast or -funsafe-math-optimizations, which reorder it.
 _FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
-_NO_WINDOW = np.empty((1, 0, 2))  # one lane's buffer for a window of no steps
+# One lane's tail and norm buffers for a window of no steps.
+_NO_WINDOW, _NO_NORMS = np.empty((1, 0, 2)), np.empty((1, 0))
 
 
 def _step_xy(r1, r2, c1, c2, c3, c4, x, y):
@@ -98,11 +102,25 @@ def _py_row_sums(rows, lengths):
     return np.array([np.cumsum(rows[r, :n])[-1] if n else 0.0 for r, n in enumerate(lengths)])
 
 
+def _is_buffer(buf, ndim: int, writable: bool = True) -> bool:
+    """buf is a C-contiguous float64 ndarray of ndim dimensions, writable
+    if asked: the layout both backends read and write."""
+    return (
+        isinstance(buf, np.ndarray) and buf.ndim == ndim and buf.dtype == np.float64
+        and buf.flags.c_contiguous and (buf.flags.writeable or not writable)
+    )
+
+
 def row_sums(rows, lengths):
     """Sum of the first lengths[r] values of each row of the 2-D float64
     array rows, strictly left to right from the first value (0.0 for
     none): bitwise np.cumsum(rows[r, :lengths[r]])[-1].  Compiled where the
     point loop is."""
+    if not _is_buffer(rows, 2, writable=False):
+        raise ValueError("need rows as a 2-D C-contiguous float64 array")
+    n_rows, stride = rows.shape
+    if len(lengths) != n_rows or any(not 0 <= n <= stride for n in lengths):
+        raise ValueError(f"need {n_rows} row lengths in [0, {stride}], got {lengths}")
     return _loop()[1](rows, lengths)
 
 
@@ -181,21 +199,6 @@ def _py_loop(
     return 0, x, y
 
 
-def _address(buf, n):
-    """Address of a C-contiguous float64 buffer of at least n values; None for n <= 0."""
-    if n <= 0:
-        return None
-    if not (
-        isinstance(buf, np.ndarray)
-        and buf.dtype == np.float64
-        and buf.flags.c_contiguous
-        and buf.flags.writeable
-        and buf.size >= n
-    ):
-        raise ValueError(f"need a writable C-contiguous float64 buffer of {n} values")
-    return buf.ctypes.data
-
-
 def _c_loop(lib):
     """The compiled backend: (lanes, row_sums) around _frame.c's functions."""
     import ctypes
@@ -213,17 +216,14 @@ def _c_loop(lib):
         last, at_step = (dbl * (2 * k))(), (ll * k)()
         fn(
             k, flat, x0, y0, n_transient, n_record, n_lyap, threshold,
-            _address(tail, 2 * n_record * k), _address(norm1, n_lyap * k),
-            _address(norm2, n_lyap * k), last, at_step,
+            tail.ctypes.data, norm1.ctypes.data, norm2.ctypes.data, last, at_step,
         )
         return [(at_step[l], last[2 * l], last[2 * l + 1]) for l in range(k)]
 
     def row_sums(rows, lengths):
         n_rows, stride = rows.shape
-        if any(not 0 <= n <= stride for n in lengths) or len(lengths) != n_rows:
-            raise ValueError(f"need {n_rows} row lengths in [0, {stride}], got {lengths}")
         out = np.empty(n_rows)
-        sums(n_rows, stride, (ll * n_rows)(*lengths), _address(rows, rows.size), out.ctypes.data)
+        sums(n_rows, stride, (ll * n_rows)(*lengths), rows.ctypes.data, out.ctypes.data)
         return out
 
     return lanes, row_sums
@@ -276,8 +276,7 @@ def _compile(tmp: str, path: Path) -> None:
 
 def _build_and_load(path: Path):
     """Build the library at path, or in a private temporary directory if
-    path's directory is not writable, load it and delete the older builds
-    beside it (not a concurrent build's temporary); None if the build fails."""
+    path's directory is not writable, and load it; None if the build fails."""
     import shutil
     import subprocess
     import tempfile
@@ -293,12 +292,7 @@ def _build_and_load(path: Path):
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=private)
         os.close(fd)
         _compile(tmp, path)
-        loaded = _load(path)
-        for old in path.parent.glob("_frame-*.so"):
-            if old != path:
-                with contextlib.suppress(OSError):
-                    old.unlink()
-        return loaded
+        return _load(path)
     except subprocess.SubprocessError:
         return None
     finally:
@@ -308,7 +302,8 @@ def _build_and_load(path: Path):
 
 def _compiled():
     """The compiled backend, built on first use and cached; None when there
-    is no compiler or the build or the load fails."""
+    is no compiler or the build or the load fails.  A load deletes the
+    other _frame-*.so builds beside it (not a build's mkstemp temporary)."""
     import platform
 
     try:
@@ -316,7 +311,13 @@ def _compiled():
         for part in (_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), platform.machine().encode()):
             key.update(part + b"\0")
         path = _CACHE_DIR / f"_frame-{key.hexdigest()[:16]}.so"
-        return _load(path) if path.exists() else _build_and_load(path)
+        loaded = _load(path) if path.exists() else _build_and_load(path)
+        if loaded:
+            for old in path.parent.glob("_frame-*.so"):
+                if old != path:
+                    with contextlib.suppress(OSError):
+                        old.unlink()
+        return loaded
     except (OSError, ValueError, AttributeError):
         return None
 
@@ -341,19 +342,22 @@ def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, 
     runs, for each of k parameter rows (r1, r2, c1, c2, c3, c4), all from
     (x0, y0).  Each lane is bitwise a one-lane call.
 
-    tail has shape (>= k, n_record, 2) and norm1/norm2 (>= k, n_lyap);
-    lane l writes only tail[l], norm1[l] and norm2[l].  Returns one
+    tail has shape (>= k, n_record, 2) and norm1/norm2 (>= k, n_lyap),
+    each a writable C-contiguous float64 array; lane l writes only
+    tail[l], norm1[l] and norm2[l].  Returns one
     (n_rec, n_used, at_step, x, y) tuple per lane: the tail rows and norm
     pairs written, the 1-based step at which the state escaped (0 if it
     did not within n_transient + max(n_record, n_lyap) steps) and the last
     finite state.
     """
-    if min(len(tail), len(norm1), len(norm2)) < len(params):
-        raise ValueError(f"need buffers with at least {len(params)} lane rows")
     if min(n_transient, n_record, n_lyap) < 0 or n_transient + max(n_record, n_lyap) > 2**63 - 1:
         raise ValueError(
             f"need budgets >= 0, 2**63 - 1 steps at most, got {n_transient}, {n_record}, {n_lyap}"
         )
+    k = len(params)
+    for buf, row in ((tail, (n_record, 2)), (norm1, (n_lyap,)), (norm2, (n_lyap,))):
+        if not (_is_buffer(buf, 1 + len(row)) and buf.shape[1:] == row and len(buf) >= k):
+            raise ValueError(f"need >= {k} lane rows of shape {row}, C-contiguous float64, writable")
     runs = _loop()[0](params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2)
     results = []
     for at_step, x, y in runs:
@@ -395,7 +399,7 @@ def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold
     """
     ((n_rec, _, at_step, _, _),) = point_lanes(
         [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, n_total - n_transient, 0, threshold,
-        out[None], _NO_WINDOW, _NO_WINDOW,
+        out[None], _NO_NORMS, _NO_NORMS,
     )
     return n_rec, at_step > 0, at_step
 

@@ -5,6 +5,11 @@ syntax errors, and float serialization via repr gives exact round-trips.
 Unknown keys are rejected so typos cannot silently fall back to defaults.
 r2 is the one required key — it is the control parameter of every
 experiment and deliberately has no default.
+
+Each of the five blocks (the top-level model keys, initial, budgets,
+sweep, grid) goes through one reader, _parse_block, which checks keys and
+JSON types against the fields of the block's type; the range rules are
+the type's own, so a block built directly obeys the same rules.
 """
 from __future__ import annotations
 
@@ -48,11 +53,27 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
 
 
+def _check_at_least(block, **least):
+    for name, bound in least.items():
+        value = getattr(block, name)
+        if value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
+
+
+def _check_axis(block, lo: str, hi: str):
+    a, b = getattr(block, lo), getattr(block, hi)
+    if not a < b:
+        raise ValueError(f"need {lo} < {hi}, got {a!r} >= {b!r}")
+
+
 @dataclass(frozen=True)
 class Budgets:
     transient: int = DEFAULT_TRANSIENT
     record: int = DEFAULT_RECORD
     lyap: int = DEFAULT_STEPS
+
+    def __post_init__(self):
+        _check_at_least(self, transient=0, record=1, lyap=1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +83,15 @@ class SweepBlock:
     hi: float = 4.0
     points: int = 241
     lyap: int = SWEEP_STEPS
+
+    def __post_init__(self):
+        if self.parameter not in SWEEPABLE_PARAMETERS:
+            raise ValueError(
+                f"parameter must be one of {', '.join(SWEEPABLE_PARAMETERS)}, "
+                f"got {self.parameter!r}"
+            )
+        _check_axis(self, "lo", "hi")
+        _check_at_least(self, points=2, lyap=1)
 
 
 @dataclass(frozen=True)
@@ -76,6 +106,13 @@ class GridBlock:
     r2_values: tuple[float, ...] | None = None
     lyap: int = SWEEP_STEPS
 
+    def __post_init__(self):
+        _check_axis(self, "c2_lo", "c2_hi")
+        _check_axis(self, "c3_lo", "c3_hi")
+        _check_at_least(self, c2_points=2, c3_points=2, lyap=1)
+        if self.r2_values is not None and not self.r2_values:
+            raise ValueError("r2_values must not be empty")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -87,55 +124,55 @@ class RunConfig:
     out_dir: str = "out"
 
 
-_INT_KEYS = {"transient", "record", "lyap", "points", "c2_points", "c3_points"}
-_SECTION_FIELDS = {
-    "budgets": Budgets,
-    "sweep": SweepBlock,
-    "grid": GridBlock,
-}
+_SECTIONS = {"budgets": Budgets, "sweep": SweepBlock, "grid": GridBlock}
+_KINDS = {"int": "an integer", "float": "a number", "str": "a string"}
 
 
-def _as_float(section: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{_qual(section, key)}' must be a number, got {value!r}")
-    return float(value)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_int(section: str, key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key '{_qual(section, key)}' must be an integer, got {value!r}")
-    return value
+def _convert(key: str, kind: str, value):
+    """value as a field of the declared type kind (a string, since
+    annotations are postponed); ConfigError naming key if it is not one."""
+    if kind == "float" and _is_number(value):
+        return float(value)
+    if kind == "int" and _is_number(value) and isinstance(value, int):
+        return value
+    if kind == "str" and isinstance(value, str):
+        return value
+    if kind.startswith("tuple") and isinstance(value, list) and all(map(_is_number, value)):
+        return tuple(float(v) for v in value)
+    described = _KINDS.get(kind, "a list of numbers")
+    raise ConfigError(f"key '{key}' must be {described}, got {value!r}")
 
 
-def _qual(section: str, key: str) -> str:
-    return f"{section}.{key}" if section else key
+def _parse_block(section: str, cls, data, defaults: dict):
+    """Build cls from the JSON object data, over defaults.
 
-
-def _parse_section(name: str, cls, data: dict):
-    known = {f.name for f in fields(cls)}
-    values = {}
+    Unknown keys and values of the wrong JSON type are refused here; the
+    range rules are cls's own.  A ValueError from cls whose message starts
+    with a field name names the key, any other names the section, and the
+    model block's ("" for the top level) pass through unchanged.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{section}' must be an object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    values = dict(defaults)
     for key, raw in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown key '{_qual(name, key)}'")
-        if key in _INT_KEYS:
-            values[key] = _as_int(name, key, raw)
-        elif key == "parameter":
-            if not isinstance(raw, str):
-                raise ConfigError(f"key 'sweep.parameter' must be a string, got {raw!r}")
-            values[key] = raw
-        elif key == "r2_values":
-            if not isinstance(raw, list) or not raw:
-                raise ConfigError("key 'grid.r2_values' must be a non-empty list of numbers")
-            values[key] = tuple(_as_float(name, key, v) for v in raw)
-        else:
-            values[key] = _as_float(name, key, raw)
+        qual = f"{section}.{key}" if section else key
+        if key not in kinds:
+            raise ConfigError(f"unknown key '{qual}'")
+        values[key] = _convert(qual, kinds[key], raw)
     try:
         return cls(**values)
     except ValueError as e:
-        raise ConfigError(f"invalid section '{name}': {e}") from e
-
-
-_TOP_MODEL_KEYS = ("r1", "r2", "c1", "c2", "c3", "c4")
+        name, _, rest = str(e).partition(" ")
+        if not section:
+            raise ConfigError(str(e)) from e
+        if name in kinds:
+            raise ConfigError(f"key '{section}.{name}' {rest}") from e
+        raise ConfigError(f"invalid section '{section}': {e}") from e
 
 
 def parse_config(text: str) -> RunConfig:
@@ -150,95 +187,26 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise ConfigError("top level of the config must be an object")
-
-    known_top = set(_TOP_MODEL_KEYS) | {"initial", "out_dir"} | set(_SECTION_FIELDS)
-    for key in doc:
-        if key not in known_top:
-            raise ConfigError(f"unknown key '{key}'")
-
     if "r2" not in doc:
         raise ConfigError("key 'r2' is required: it is the control parameter and has no default")
 
-    model = {k: DEFAULTS[k] for k in _TOP_MODEL_KEYS if k != "r2"}
-    for k in _TOP_MODEL_KEYS:
-        if k in doc:
-            model[k] = _as_float("", k, doc[k])
-    try:
-        params = ModelParams(**model)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-    init_doc = doc.get("initial", {})
-    if not isinstance(init_doc, dict):
-        raise ConfigError("section 'initial' must be an object")
-    for key in init_doc:
-        if key not in ("x", "y"):
-            raise ConfigError(f"unknown key 'initial.{key}'")
-    x0 = _as_float("initial", "x", init_doc.get("x", DEFAULTS["x0"]))
-    y0 = _as_float("initial", "y", init_doc.get("y", DEFAULTS["y0"]))
-    try:
-        initial = State(x0, y0)
-    except ValueError as e:
-        raise ConfigError(f"invalid section 'initial': {e}") from e
-
-    sections = {}
-    for name, cls in _SECTION_FIELDS.items():
-        block = doc.get(name, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"section '{name}' must be an object")
-        sections[name] = _parse_section(name, cls, block)
-
-    out_dir = doc.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"key 'out_dir' must be a string, got {out_dir!r}")
-
-    cfg = RunConfig(
-        params=params,
-        initial=initial,
-        budgets=sections["budgets"],
-        sweep=sections["sweep"],
-        grid=sections["grid"],
-        out_dir=out_dir,
+    model = {k: v for k, v in doc.items() if k not in ("initial", "out_dir", *_SECTIONS)}
+    model_defaults = {k: v for k, v in DEFAULTS.items() if k not in ("x0", "y0")}
+    initial = {"x": DEFAULTS["x0"], "y": DEFAULTS["y0"]}
+    return RunConfig(
+        params=_parse_block("", ModelParams, model, model_defaults),
+        initial=_parse_block("initial", State, doc.get("initial", {}), initial),
+        **{n: _parse_block(n, cls, doc.get(n, {}), {}) for n, cls in _SECTIONS.items()},
+        out_dir=_convert("out_dir", "str", doc.get("out_dir", "out")),
     )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
-    b = cfg.budgets
-    if b.transient < 0:
-        raise ConfigError(f"key 'budgets.transient' must be >= 0, got {b.transient}")
-    if b.record < 1:
-        raise ConfigError(f"key 'budgets.record' must be >= 1, got {b.record}")
-    if b.lyap < 1:
-        raise ConfigError(f"key 'budgets.lyap' must be >= 1, got {b.lyap}")
-    s = cfg.sweep
-    if s.parameter not in SWEEPABLE_PARAMETERS:
-        raise ConfigError(
-            f"key 'sweep.parameter' must be one of {', '.join(SWEEPABLE_PARAMETERS)}, "
-            f"got {s.parameter!r}"
-        )
-    _check_grid_block("sweep", s.lo, s.hi, s.points, s.lyap)
-    g = cfg.grid
-    _check_grid_block("grid (c2 axis)", g.c2_lo, g.c2_hi, g.c2_points, g.lyap)
-    _check_grid_block("grid (c3 axis)", g.c3_lo, g.c3_hi, g.c3_points, g.lyap)
-
-
-def _check_grid_block(name: str, lo: float, hi: float, points: int, lyap: int):
-    if not lo < hi:
-        raise ConfigError(f"section '{name}': need lo < hi, got {lo!r} >= {hi!r}")
-    if points < 2:
-        raise ConfigError(f"section '{name}': points must be >= 2, got {points}")
-    if lyap < 1:
-        raise ConfigError(f"section '{name}': lyap must be >= 1, got {lyap}")
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Write a config back to the JSON notation; parse_config inverts this
     exactly (floats serialize via repr, which round-trips)."""
     doc = {
-        **{k: getattr(cfg.params, k) for k in _TOP_MODEL_KEYS},
-        "initial": {"x": cfg.initial.x, "y": cfg.initial.y},
+        **asdict(cfg.params),
+        "initial": asdict(cfg.initial),
         "budgets": asdict(cfg.budgets),
         "sweep": asdict(cfg.sweep),
         "grid": asdict(cfg.grid),
@@ -246,6 +214,4 @@ def serialize_config(cfg: RunConfig) -> str:
     }
     if doc["grid"]["r2_values"] is None:
         del doc["grid"]["r2_values"]
-    else:
-        doc["grid"]["r2_values"] = list(doc["grid"]["r2_values"])
     return json.dumps(doc, indent=2) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .dynamics import Jacobian2, ModelParams, State, eigenvalues_2x2, jacobian, step
+from .dynamics import ModelParams, State, eigenvalues_2x2, jacobian, step
 
 __all__ = [
     "Family",

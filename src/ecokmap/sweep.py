@@ -26,7 +26,6 @@ from .orbit import (
     DEFAULT_RECORD,
     DEFAULT_TRANSIENT,
     ESCAPE_THRESHOLD,
-    MAX_PERIOD,
     PERIOD_TOL,
     Escaped,
     OrbitRecord,
@@ -90,7 +89,6 @@ class SweepSpec:
     n_transient: int = DEFAULT_TRANSIENT
     n_record: int = DEFAULT_RECORD
     n_lyap: int = SWEEP_STEPS
-    max_period: int = MAX_PERIOD
     period_tol: float = PERIOD_TOL
 
     def __post_init__(self):
@@ -126,7 +124,7 @@ def _check_workers(workers: int | None) -> None:
 def _record(spec, tail: np.ndarray, at_step: int, last: tuple[float, float]) -> OrbitRecord:
     """Orbit record of one point: its recorded tail, or its escape outcome."""
     if not 0 < at_step <= spec.n_transient + spec.n_record:
-        outcome = orbit.detect_period(tail, spec.max_period, spec.period_tol)
+        outcome = orbit.detect_period(tail, orbit.MAX_PERIOD, spec.period_tol)
         return OrbitRecord(spec.s0, spec.n_transient, tail, outcome)
     transient_len = spec.n_transient
     if len(tail) == 0 and at_step > 1:
@@ -192,7 +190,6 @@ class ChaosGridSpec:
     n_transient: int = DEFAULT_TRANSIENT
     n_record: int = DEFAULT_RECORD
     n_lyap: int = SWEEP_STEPS
-    max_period: int = MAX_PERIOD
     period_tol: float = PERIOD_TOL
 
     def __post_init__(self):

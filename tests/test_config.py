@@ -1,5 +1,7 @@
 """Config document parsing, validation and exact round-trips."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,54 @@ class TestValidation:
     def test_parse_error_reports_line_and_column(self):
         with pytest.raises(ConfigError, match=r"line 2, column"):
             parse_config('{"r2": 3.0,\n  "c1": }')
+
+
+class TestBlockRules:
+    """Each range rule lives in its block's type: building the block
+    directly and parsing a document both refuse a value past the bound,
+    and accept the value at it."""
+
+    RULES = [
+        (Budgets, "budgets", "transient", -1, 0, "key 'budgets.transient' must be >= 0"),
+        (Budgets, "budgets", "record", 0, 1, "key 'budgets.record' must be >= 1"),
+        (Budgets, "budgets", "lyap", 0, 1, "key 'budgets.lyap' must be >= 1"),
+        (SweepBlock, "sweep", "parameter", "bogus", "c4", "key 'sweep.parameter' must be"),
+        (SweepBlock, "sweep", "lo", 4.0, 3.9, "invalid section 'sweep': need lo < hi"),
+        (SweepBlock, "sweep", "points", 1, 2, "key 'sweep.points' must be >= 2"),
+        (SweepBlock, "sweep", "lyap", 0, 1, "key 'sweep.lyap' must be >= 1"),
+        (GridBlock, "grid", "c2_lo", 0.9, 0.8, "invalid section 'grid': need c2_lo < c2_hi"),
+        (GridBlock, "grid", "c3_hi", 0.1, 0.2, "invalid section 'grid': need c3_lo < c3_hi"),
+        (GridBlock, "grid", "c2_points", 1, 2, "key 'grid.c2_points' must be >= 2"),
+        (GridBlock, "grid", "c3_points", 1, 2, "key 'grid.c3_points' must be >= 2"),
+        (GridBlock, "grid", "lyap", 0, 1, "key 'grid.lyap' must be >= 1"),
+        (GridBlock, "grid", "r2_values", (), (3.9,), "key 'grid.r2_values' must not be empty"),
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, section, key, bad, ok, names", RULES, ids=[f"{r[1]}.{r[2]}" for r in RULES]
+    )
+    def test_rule_holds_for_built_and_parsed_blocks(self, cls, section, key, bad, ok, names):
+        with pytest.raises(ValueError):
+            cls(**{key: bad})
+        with pytest.raises(ConfigError, match=re.escape(names)):
+            parse_config(json.dumps({"r2": 3.0, section: {key: bad}}))
+        assert getattr(parse_config(json.dumps({"r2": 3.0, section: {key: ok}})), section) == cls(
+            **{key: ok}
+        )
+
+
+def readme_config_example() -> str:
+    """The JSON example under README's "Config format" heading."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_parses_and_round_trips():
+    text = readme_config_example()
+    cfg = parse_config(text)
+    assert json.loads(serialize_config(cfg)) == json.loads(text)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 finite = st.floats(min_value=0.0, max_value=4.0)

@@ -228,6 +228,24 @@ class TestLanes:
                 )
             assert (tail == SENTINEL).all() and (norms == SENTINEL).all()
 
+    @pytest.mark.parametrize("case", ["float32-tail", "read-only-norms", "wider-norm-rows"])
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_malformed_buffers_are_refused(self, request, monkeypatch, backend, case):
+        # Checked above both backends: the Python lanes would take a
+        # float32 tail, and the two would place the lanes of wider rows at
+        # different offsets.
+        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
+        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
+        dtype = np.float32 if case == "float32-tail" else np.float64
+        tail = np.full((3, self.N_REC, 2), SENTINEL, dtype=dtype)
+        norms = np.full((2, 3, self.N_LYAP + (case == "wider-norm-rows")), SENTINEL)
+        norms.flags.writeable = case != "read-only-norms"
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            _kernels.point_lanes(
+                [row(REF)] * 3, 0.2, 0.1, 5, self.N_REC, self.N_LYAP, ESCAPE_THRESHOLD, tail, *norms
+            )
+        assert (tail == SENTINEL).all() and (norms == SENTINEL).all()
+
     @given(
         st.lists(
             st.tuples(
@@ -374,6 +392,18 @@ class TestRowSums:
             r[: len(values)] = values
         self.assert_sums(block, [len(values) for values in rows])
 
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_row_lengths_past_the_stride_are_refused(self, request, monkeypatch, backend):
+        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
+        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
+        rows = np.full((2, 3), SENTINEL)
+        for lengths in ([5, 1], [1, -1], [1], [1, 1, 1]):
+            with pytest.raises(ValueError, match="row lengths"):
+                _kernels.row_sums(rows, lengths)
+        with pytest.raises(ValueError, match="float64"):
+            _kernels.row_sums(rows.astype(np.float32), [1, 1])
+        assert (rows == SENTINEL).all()
+
 
 class TestBackend:
     def test_names_the_loop_that_runs(self, monkeypatch, compiled):
@@ -452,12 +482,16 @@ class TestLoader:
         assert built.name.startswith("_frame-") and built.suffix == ".so"
         assert listing(tmp) == []
         assert results() == want
-        # A second process start finds the library and needs no compiler.
+        # A second process start finds the library, needs no compiler and
+        # deletes a stale build that it did not make.
+        stamp = built.stat().st_mtime_ns
+        (cache / "_frame-0000000000000000.so").write_bytes(b"")
         monkeypatch.setattr(_kernels, "_loop", functools.cache(_kernels._loop.__wrapped__))
         self.set_cc(monkeypatch, None)
         monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
         assert ecokmap.backend() == "c"
         assert listing(cache) == [built.name]
+        assert built.stat().st_mtime_ns == stamp
 
     def test_a_build_deletes_stale_builds(self, want, fresh, compiled):
         # A build from an earlier source is gone once the new one is built;

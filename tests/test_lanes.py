@@ -23,7 +23,7 @@ import hypothesis.strategies as st
 from ecokmap import _kernels, sweep
 from ecokmap.dynamics import ModelParams, State
 from ecokmap.lyapunov import MIN_STEPS, EscapedTooEarly, lyapunov_spectrum
-from ecokmap.orbit import ESCAPE_THRESHOLD, Escaped, iterate
+from ecokmap.orbit import ESCAPE_THRESHOLD, MAX_PERIOD, Escaped, iterate
 from ecokmap.sweep import SweepSpec, bifurcation_sweep
 
 ESCAPE_S0 = State(0.5, 1e-3)
@@ -45,7 +45,7 @@ def spec_for(s0, n_transient, n_record, n_lyap):
 def oracle(spec, p):
     """(orbit record, lambda1) of one point from iterate + lyapunov_spectrum."""
     s0, n_tr = spec.s0, spec.n_transient
-    rec = iterate(p, s0, n_tr + spec.n_record, n_tr, spec.max_period, spec.period_tol)
+    rec = iterate(p, s0, n_tr + spec.n_record, n_tr, MAX_PERIOD, spec.period_tol)
     if isinstance(rec.outcome, Escaped) and len(rec.tail) == 0:
         pre = iterate(p, s0, rec.outcome.at_step, 0).tail
         if len(pre):
