@@ -20,6 +20,7 @@ from .dynamics import (
     DEFAULT_RECORD,
     DEFAULT_STEPS,
     DEFAULT_TRANSIENT,
+    MIN_STEPS,
     SWEEP_STEPS,
     SWEEPABLE_PARAMETERS,
     ModelParams,
@@ -73,7 +74,7 @@ class Budgets:
     lyap: int = DEFAULT_STEPS
 
     def __post_init__(self):
-        _check_at_least(self, transient=0, record=1, lyap=1)
+        _check_at_least(self, transient=0, record=1, lyap=MIN_STEPS)
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class SweepBlock:
                 f"got {self.parameter!r}"
             )
         _check_axis(self, "lo", "hi")
-        _check_at_least(self, points=2, lyap=1)
+        _check_at_least(self, points=2, lyap=MIN_STEPS)
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ class GridBlock:
     def __post_init__(self):
         _check_axis(self, "c2_lo", "c2_hi")
         _check_axis(self, "c3_lo", "c3_hi")
-        _check_at_least(self, c2_points=2, c3_points=2, lyap=1)
+        _check_at_least(self, c2_points=2, c3_points=2, lyap=MIN_STEPS)
         if self.r2_values is not None and not self.r2_values:
             raise ValueError("r2_values must not be empty")
 
@@ -132,17 +133,25 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(key: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        # An integer past float range; its repr can run to thousands of digits.
+        raise ConfigError(f"key '{key}' holds an integer too large for a float") from None
+
+
 def _convert(key: str, kind: str, value):
     """value as a field of the declared type kind (a string, since
     annotations are postponed); ConfigError naming key if it is not one."""
     if kind == "float" and _is_number(value):
-        return float(value)
+        return _float(key, value)
     if kind == "int" and _is_number(value) and isinstance(value, int):
         return value
     if kind == "str" and isinstance(value, str):
         return value
     if kind.startswith("tuple") and isinstance(value, list) and all(map(_is_number, value)):
-        return tuple(float(v) for v in value)
+        return tuple(_float(key, v) for v in value)
     described = _KINDS.get(kind, "a list of numbers")
     raise ConfigError(f"key '{key}' must be {described}, got {value!r}")
 
@@ -185,6 +194,9 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:
+        # An integer literal past the interpreter's int-conversion digit limit.
+        raise ConfigError(f"parse error: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("top level of the config must be an object")
     if "r2" not in doc:

@@ -10,10 +10,11 @@ c2/c3 cross-species competition coefficients.  Everything else in the
 package is built on the three functions defined here.  All operations are
 pure; values are frozen dataclasses.
 
-The step-budget defaults, the period tolerance, the sweepable parameter
-names and EscapedTooEarly also live here, because this module needs no
-numpy: the config parser and the CLI take them at import time without
-loading the engine.  orbit, lyapunov and sweep re-export them.
+The step-budget defaults and minimum, the period tolerance, the
+sweepable parameter names and EscapedTooEarly also live here, because
+this module needs no numpy: the config parser and the CLI take them at
+import time without loading the engine.  orbit, lyapunov and sweep
+re-export them.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ __all__ = [
     "DEFAULT_RECORD",
     "DEFAULT_STEPS",
     "SWEEP_STEPS",
+    "MIN_STEPS",
     "PERIOD_TOL",
     "EscapedTooEarly",
 ]
@@ -49,6 +51,9 @@ DEFAULT_TRANSIENT = 400
 DEFAULT_RECORD = 100
 DEFAULT_STEPS = 100_000
 SWEEP_STEPS = 20_000
+# Fewest Lyapunov steps a run needs, both as a budget and as steps
+# completed before an escape.
+MIN_STEPS = 100
 # Relative tolerance of period detection.
 PERIOD_TOL = 1e-6
 
@@ -63,7 +68,7 @@ class NonFiniteStepError(ArithmeticError):
 
 
 class EscapedTooEarly(RuntimeError):
-    """Orbit escaped before lyapunov.MIN_STEPS post-transient steps completed."""
+    """Orbit escaped before MIN_STEPS post-transient steps completed."""
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from . import _kernels
 from .dynamics import (
     DEFAULT_STEPS,
     DEFAULT_TRANSIENT,
+    MIN_STEPS,
     SWEEP_STEPS,
     EscapedTooEarly,
     ModelParams,
@@ -38,7 +39,6 @@ __all__ = [
 # Reported exponents are floored here; a super-stable orbit (zero
 # eigenvalue somewhere along it) has a true exponent of -inf.
 LAMBDA_FLOOR = -50.0
-MIN_STEPS = 100
 
 
 @dataclass(frozen=True)

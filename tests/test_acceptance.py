@@ -18,6 +18,7 @@ import ecokmap as ek
 from ecokmap.csvio import read_csv, render_csv
 from ecokmap.dynamics import ModelParams, State, jacobian, step
 from ecokmap.equilibria import Classification, Family, fixed_points, residual
+from ecokmap.lyapunov import LAMBDA_FLOOR
 from ecokmap.orbit import Aperiodic, Settled, iterate
 from ecokmap.svgplot import count_data_elements
 
@@ -305,6 +306,60 @@ def test_criterion_7_classification_simulation_coherence(fig1_sweeps, fig2_sweep
         7,
         f"20 attracting points re-attract 10 perturbed starts each "
         f"({tries} parameter draws); lambda1 < 0 on {n_settled} settled sweep points",
+    )
+
+
+def cycle_exponent(p, cycle):
+    """Exact largest exponent of a k-cycle: (1/k) log of the spectral radius
+    of the Jacobian product around it, floored like a reported lambda1."""
+    product = np.eye(2)
+    for x, y in cycle:
+        j = jacobian(p, State(x, y))
+        product = np.array([[j.a11, j.a12], [j.a21, j.a22]]) @ product
+    mu = float(np.max(np.abs(np.linalg.eigvals(product))))
+    return max(LAMBDA_FLOOR, math.log(mu) / len(cycle)) if mu > 0 else LAMBDA_FLOOR
+
+
+def test_settled_points_carry_their_cycle_exponent(fig1_sweeps, fig2_sweeps):
+    # A 20 000-step estimate carries an O(1/n) start-up error; measured at
+    # most 3.6e-4 over the 1185 settled points of the six reference sweeps.
+    eps = 1e-3
+    errors = []
+    for res in (*fig1_sweeps.values(), *fig2_sweeps.values()):
+        for pt in res.points:
+            if isinstance(pt.orbit.outcome, Settled):
+                p = replace(res.spec.base, **{res.spec.parameter: pt.value})
+                exact = cycle_exponent(p, pt.orbit.tail[: pt.orbit.outcome.period])
+                errors.append((abs(exact - pt.lambda1), pt.value, res.spec.base))
+    worst = max(errors, key=lambda e: e[0])
+    assert worst[0] <= eps, f"lambda1 off the exact cycle exponent by {worst[0]:.2e} at {worst[1:]}"
+    ok(
+        "settled-exponent",
+        f"{len(errors)} settled sweep points within {eps:g} of their exact cycle exponent, "
+        f"median error {np.median([e[0] for e in errors]):.1e}, worst {worst[0]:.1e}",
+    )
+
+
+def test_chaos_plane_splits_at_r2_3p9():
+    # README's account of the plane: no chaos where c3 - c2 >= 0.3, chaos
+    # on most of the mirror side c2 - c3 >= 0.3, both at c3 >= 0.5.
+    spec = ek.ChaosGridSpec(
+        base=REF_BASE, c2_lo=0.1, c2_hi=0.9, c2_points=33,
+        c3_lo=0.1, c3_hi=0.9, c3_points=33, r2_values=(3.9,), s0=S0,
+        n_transient=400, n_record=100, n_lyap=20_000,
+    )
+    upper = [c for c in ek.chaos_grid(spec).cells if c.c3 >= 0.5]
+    separated = [c.lambda1 for c in upper if c.c3 - c.c2 >= 0.3 - 1e-12]
+    mirror = [c.lambda1 for c in upper if c.c2 - c.c3 >= 0.3 - 1e-12]
+    chaotic_separated = sum(lam > 0.05 for lam in separated)
+    chaotic_mirror = sum(lam > 0.05 for lam in mirror)
+    assert separated and chaotic_separated == 0, f"largest separated lambda1 {max(separated)}"
+    assert 2 * chaotic_mirror > len(mirror), f"{chaotic_mirror}/{len(mirror)} mirror cells chaotic"
+    ok(
+        "chaos-plane",
+        f"33x33 plane at r2=3.9: {chaotic_separated}/{len(separated)} separated cells "
+        f"(max {max(separated):.1e}) and {chaotic_mirror}/{len(mirror)} mirror cells "
+        f"(min {min(mirror):.2f}) with lambda1 > 0.05",
     )
 
 

@@ -191,6 +191,13 @@ class TestExitCodes:
         ) == 3
         assert "escaped" in capsys.readouterr().err
 
+    def test_integer_past_float_range_is_2(self, config_path, capsys):
+        assert run("fixed-points", "--config", config_path({"r2": 3.9, "c1": 10**400})) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "ecokmap: invalid configuration: key 'c1' holds an integer too large for a float\n"
+        )
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "nope.json")) == 3
 
@@ -294,7 +301,7 @@ class TestExitCodes:
         assert run(
             command, "--config", config_path(doc), "--out", str(tmp_path / "o"), "--grid", "5"
         ) == 2
-        assert "n_lyap >= 100" in capsys.readouterr().err
+        assert f"key '{block}.lyap' must be >= 100" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -16,7 +16,7 @@ from ecokmap.config import (
     parse_config,
     serialize_config,
 )
-from ecokmap.dynamics import ModelParams, State
+from ecokmap.dynamics import MIN_STEPS, ModelParams, State
 
 
 class TestDefaults:
@@ -43,6 +43,10 @@ class TestDefaults:
         assert cfg.initial == State(0.1, 0.1)
         assert cfg.budgets.transient == 500
         assert cfg.sweep.points == 50
+
+
+# A 400-digit integer: valid JSON, but past the range of a float.
+HUGE = 10**400
 
 
 class TestValidation:
@@ -80,6 +84,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="r2_values"):
             parse_config('{"r2": 3.0, "grid": {"r2_values": []}}')
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"c1": HUGE}, "c1"),
+            ({"sweep": {"lo": HUGE}}, "sweep.lo"),
+            ({"grid": {"r2_values": [3.9, HUGE]}}, "grid.r2_values"),
+        ],
+        ids=["c1", "sweep.lo", "grid.r2_values"],
+    )
+    def test_integer_past_float_range_names_key(self, doc, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({"r2": 3.9, **doc}))
+        assert str(info.value) == f"key '{key}' holds an integer too large for a float"
+
+    def test_integer_literal_past_digit_limit_is_config_error(self):
+        with pytest.raises(ConfigError, match="parse error"):
+            parse_config('{"r2": 3.9, "c1": ' + "9" * 5000 + "}")
+
     def test_parse_error_reports_line_and_column(self):
         with pytest.raises(ConfigError, match=r"line 2, column"):
             parse_config('{"r2": 3.0,\n  "c1": }')
@@ -93,16 +115,16 @@ class TestBlockRules:
     RULES = [
         (Budgets, "budgets", "transient", -1, 0, "key 'budgets.transient' must be >= 0"),
         (Budgets, "budgets", "record", 0, 1, "key 'budgets.record' must be >= 1"),
-        (Budgets, "budgets", "lyap", 0, 1, "key 'budgets.lyap' must be >= 1"),
+        (Budgets, "budgets", "lyap", 99, 100, "key 'budgets.lyap' must be >= 100"),
         (SweepBlock, "sweep", "parameter", "bogus", "c4", "key 'sweep.parameter' must be"),
         (SweepBlock, "sweep", "lo", 4.0, 3.9, "invalid section 'sweep': need lo < hi"),
         (SweepBlock, "sweep", "points", 1, 2, "key 'sweep.points' must be >= 2"),
-        (SweepBlock, "sweep", "lyap", 0, 1, "key 'sweep.lyap' must be >= 1"),
+        (SweepBlock, "sweep", "lyap", 99, 100, "key 'sweep.lyap' must be >= 100"),
         (GridBlock, "grid", "c2_lo", 0.9, 0.8, "invalid section 'grid': need c2_lo < c2_hi"),
         (GridBlock, "grid", "c3_hi", 0.1, 0.2, "invalid section 'grid': need c3_lo < c3_hi"),
         (GridBlock, "grid", "c2_points", 1, 2, "key 'grid.c2_points' must be >= 2"),
         (GridBlock, "grid", "c3_points", 1, 2, "key 'grid.c3_points' must be >= 2"),
-        (GridBlock, "grid", "lyap", 0, 1, "key 'grid.lyap' must be >= 1"),
+        (GridBlock, "grid", "lyap", 99, 100, "key 'grid.lyap' must be >= 100"),
         (GridBlock, "grid", "r2_values", (), (3.9,), "key 'grid.r2_values' must not be empty"),
     ]
 
@@ -136,6 +158,7 @@ def test_readme_example_parses_and_round_trips():
 finite = st.floats(min_value=0.0, max_value=4.0)
 coeff = st.floats(min_value=0.0, max_value=5.0)
 pos_int = st.integers(min_value=1, max_value=10_000)
+lyap_steps = st.integers(min_value=MIN_STEPS, max_value=10_000)
 
 
 @st.composite
@@ -147,7 +170,7 @@ def run_configs(draw):
     budgets = Budgets(
         transient=draw(st.integers(min_value=0, max_value=10_000)),
         record=draw(pos_int),
-        lyap=draw(pos_int),
+        lyap=draw(lyap_steps),
     )
     lo = draw(st.floats(min_value=0.0, max_value=1.9))
     sweep = SweepBlock(
@@ -155,7 +178,7 @@ def run_configs(draw):
         lo=lo,
         hi=draw(st.floats(min_value=lo + 0.1, max_value=4.0)),
         points=draw(st.integers(min_value=2, max_value=500)),
-        lyap=draw(pos_int),
+        lyap=draw(lyap_steps),
     )
     grid = GridBlock(
         c2_lo=0.0, c2_hi=draw(st.floats(min_value=0.1, max_value=2.0)),
@@ -168,7 +191,7 @@ def run_configs(draw):
                 st.tuples(*[st.floats(min_value=0.0, max_value=4.0)] * draw(st.integers(1, 3))),
             )
         ),
-        lyap=draw(pos_int),
+        lyap=draw(lyap_steps),
     )
     x0 = draw(st.floats(min_value=-2.0, max_value=2.0))
     y0 = draw(st.floats(min_value=-2.0, max_value=2.0))
