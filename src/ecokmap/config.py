@@ -9,7 +9,9 @@ experiment and deliberately has no default.
 Each of the five blocks (the top-level model keys, initial, budgets,
 sweep, grid) goes through one reader, _parse_block, which checks keys and
 JSON types against the fields of the block's type; the range rules are
-the type's own, so a block built directly obeys the same rules.
+the type's own, written with the checks of dynamics, so a block built
+directly obeys the same rules; _parse_block names the key from the field
+each message starts with.
 """
 from __future__ import annotations
 
@@ -22,9 +24,12 @@ from .dynamics import (
     DEFAULT_TRANSIENT,
     MIN_STEPS,
     SWEEP_STEPS,
-    SWEEPABLE_PARAMETERS,
+    DOMAIN,
     ModelParams,
     State,
+    check_at_least,
+    check_axis,
+    check_floats,
 )
 
 __all__ = [
@@ -54,19 +59,6 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
 
 
-def _check_at_least(block, **least):
-    for name, bound in least.items():
-        value = getattr(block, name)
-        if value < bound:
-            raise ValueError(f"{name} must be >= {bound}, got {value}")
-
-
-def _check_axis(block, lo: str, hi: str):
-    a, b = getattr(block, lo), getattr(block, hi)
-    if not a < b:
-        raise ValueError(f"need {lo} < {hi}, got {a!r} >= {b!r}")
-
-
 @dataclass(frozen=True)
 class Budgets:
     transient: int = DEFAULT_TRANSIENT
@@ -74,7 +66,7 @@ class Budgets:
     lyap: int = DEFAULT_STEPS
 
     def __post_init__(self):
-        _check_at_least(self, transient=0, record=1, lyap=MIN_STEPS)
+        check_at_least(self, transient=0, record=1, lyap=MIN_STEPS)
 
 
 @dataclass(frozen=True)
@@ -86,13 +78,8 @@ class SweepBlock:
     lyap: int = SWEEP_STEPS
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"parameter must be one of {', '.join(SWEEPABLE_PARAMETERS)}, "
-                f"got {self.parameter!r}"
-            )
-        _check_axis(self, "lo", "hi")
-        _check_at_least(self, points=2, lyap=MIN_STEPS)
+        check_axis(self, self.parameter, "lo", "hi")
+        check_at_least(self, points=2, lyap=MIN_STEPS)
 
 
 @dataclass(frozen=True)
@@ -108,11 +95,11 @@ class GridBlock:
     lyap: int = SWEEP_STEPS
 
     def __post_init__(self):
-        _check_axis(self, "c2_lo", "c2_hi")
-        _check_axis(self, "c3_lo", "c3_hi")
-        _check_at_least(self, c2_points=2, c3_points=2, lyap=MIN_STEPS)
-        if self.r2_values is not None and not self.r2_values:
-            raise ValueError("r2_values must not be empty")
+        check_axis(self, "c2", "c2_lo", "c2_hi")
+        check_axis(self, "c3", "c3_lo", "c3_hi")
+        check_at_least(self, c2_points=2, c3_points=2, lyap=MIN_STEPS)
+        if self.r2_values is not None:
+            check_floats(self, DOMAIN["r2"], "r2_values")
 
 
 @dataclass(frozen=True)
@@ -160,16 +147,16 @@ def _parse_block(section: str, cls, data, defaults: dict):
     """Build cls from the JSON object data, over defaults.
 
     Unknown keys and values of the wrong JSON type are refused here; the
-    range rules are cls's own.  A ValueError from cls whose message starts
-    with a field name names the key, any other names the section, and the
-    model block's ("" for the top level) pass through unchanged.
+    range rules are cls's own, and a ValueError from cls starts with the
+    name of the field at fault, which becomes the key.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"section '{section}' must be an object")
     kinds = {f.name: f.type for f in fields(cls)}
+    prefix = f"{section}." if section else ""
     values = dict(defaults)
     for key, raw in data.items():
-        qual = f"{section}.{key}" if section else key
+        qual = prefix + key
         if key not in kinds:
             raise ConfigError(f"unknown key '{qual}'")
         values[key] = _convert(qual, kinds[key], raw)
@@ -177,11 +164,7 @@ def _parse_block(section: str, cls, data, defaults: dict):
         return cls(**values)
     except ValueError as e:
         name, _, rest = str(e).partition(" ")
-        if not section:
-            raise ConfigError(str(e)) from e
-        if name in kinds:
-            raise ConfigError(f"key '{section}.{name}' {rest}") from e
-        raise ConfigError(f"invalid section '{section}': {e}") from e
+        raise ConfigError(f"key '{prefix}{name}' {rest}") from e
 
 
 def parse_config(text: str) -> RunConfig:

@@ -11,10 +11,11 @@ package is built on the three functions defined here.  All operations are
 pure; values are frozen dataclasses.
 
 The step-budget defaults and minimum, the period tolerance, the
-sweepable parameter names and EscapedTooEarly also live here, because
-this module needs no numpy: the config parser and the CLI take them at
-import time without loading the engine.  orbit, lyapunov and sweep
-re-export them.
+parameter DOMAIN, the input checks that value types, config blocks and
+sweep specs share, and EscapedTooEarly also live here, because this
+module needs no numpy: the config parser and the CLI take them at import
+time without loading the engine.  orbit, lyapunov and sweep re-export
+the constants.  A check's message starts with the field's name.
 """
 from __future__ import annotations
 
@@ -39,11 +40,20 @@ __all__ = [
     "MIN_STEPS",
     "PERIOD_TOL",
     "EscapedTooEarly",
+    "DOMAIN",
+    "check_floats",
+    "check_at_least",
+    "check_axis",
 ]
 
 R_MIN = 0.0
 R_MAX = 4.0
-SWEEPABLE_PARAMETERS = ("r1", "r2", "c1", "c2", "c3", "c4")
+# Each parameter's (test, description) rule, False on NaN: logistic growth
+# rates, and competition coefficients that are finite and non-negative.
+_RATE = (lambda v: R_MIN <= v <= R_MAX, f"in [{R_MIN:g}, {R_MAX:g}]")
+_COUPLING = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+DOMAIN = {"r1": _RATE, "r2": _RATE, **dict.fromkeys(("c1", "c2", "c3", "c4"), _COUPLING)}
+SWEEPABLE_PARAMETERS = tuple(DOMAIN)
 
 # Step budgets: transient and recorded tail of an orbit, Lyapunov steps of
 # a single run and the cheaper per-point budget inside parameter sweeps.
@@ -71,14 +81,45 @@ class EscapedTooEarly(RuntimeError):
     """Orbit escaped before MIN_STEPS post-transient steps completed."""
 
 
+def check_floats(obj, rule: tuple, *names: str) -> None:
+    """Coerce each named field of the frozen dataclass obj to a float (a
+    tuple field to a non-empty tuple of floats), test it and store it."""
+    test, what = rule
+    for name in names:
+        value = getattr(obj, name)
+        many = isinstance(value, (tuple, list))
+        values = tuple(map(float, value)) if many else (float(value),)
+        if not values:
+            raise ValueError(f"{name} must not be empty")
+        for v in values:
+            if not test(v):
+                raise ValueError(f"{name} must be {what}, got {v!r}")
+        object.__setattr__(obj, name, values if many else values[0])
+
+
+def check_at_least(obj, **least: int) -> None:
+    """Each named count field of obj is at least its bound."""
+    for name, bound in least.items():
+        value = getattr(obj, name)
+        if value < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value}")
+
+
+def check_axis(obj, parameter: str, lo: str, hi: str) -> None:
+    """Coerce, test against DOMAIN[parameter] and store an axis's ends lo < hi."""
+    if parameter not in DOMAIN:
+        raise ValueError(f"parameter must be one of {', '.join(DOMAIN)}, got {parameter!r}")
+    test, what = DOMAIN[parameter]
+    check_floats(obj, (test, f"{what} for {parameter}"), lo, hi)
+    a, b = getattr(obj, lo), getattr(obj, hi)
+    if not a < b:
+        raise ValueError(f"{lo} must be < {hi}, got {a!r} >= {b!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """The six map parameters.
-
-    Growth rates are logistic in character, so 0 <= r1, r2 <= 4 is enforced
-    at construction; the four competition coefficients only need to be
-    finite and non-negative.
-    """
+    """The six map parameters, each checked against its domain at
+    construction: 0 <= r1, r2 <= 4 and c1..c4 finite and >= 0."""
 
     r1: float
     r2: float
@@ -88,16 +129,8 @@ class ModelParams:
     c4: float
 
     def __post_init__(self):
-        for name in ("r1", "r2"):
-            v = float(getattr(self, name))
-            if not (R_MIN <= v <= R_MAX):  # also rejects NaN
-                raise ValueError(f"{name} must be in [{R_MIN:g}, {R_MAX:g}], got {v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("c1", "c2", "c3", "c4"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-            object.__setattr__(self, name, v)
+        for name, rule in DOMAIN.items():
+            check_floats(self, rule, name)
 
 
 @dataclass(frozen=True)
@@ -108,11 +141,7 @@ class State:
     y: float
 
     def __post_init__(self):
-        for name in ("x", "y"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"state component {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        check_floats(self, (math.isfinite, "finite"), "x", "y")
 
 
 @dataclass(frozen=True)
@@ -125,11 +154,7 @@ class Jacobian2:
     a22: float
 
     def __post_init__(self):
-        for name in ("a11", "a12", "a21", "a22"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"Jacobian entry {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        check_floats(self, (math.isfinite, "a finite Jacobian entry"), "a11", "a12", "a21", "a22")
 
     @property
     def trace(self) -> float:

@@ -13,14 +13,14 @@ on both kernel backends.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels, orbit
-from .dynamics import SWEEPABLE_PARAMETERS, ModelParams, State
+from .dynamics import DOMAIN, SWEEPABLE_PARAMETERS, ModelParams, State
+from .dynamics import check_at_least, check_axis, check_floats
 from .lyapunov import LAMBDA_FLOOR, MIN_STEPS, SWEEP_STEPS
 from .orbit import (
     DEFAULT_RECORD,
@@ -54,28 +54,6 @@ def grid_values(lo: float, hi: float, n_points: int) -> np.ndarray:
     return np.linspace(lo, hi, n_points)
 
 
-def _check_range(base: ModelParams, parameter: str, lo: float, hi: float, n_points: int):
-    if parameter not in SWEEPABLE_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got {lo!r}, {hi!r}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    # Endpoint substitution reuses the ModelParams invariants to confirm
-    # the whole swept range stays in the parameter's domain.
-    replace(base, **{parameter: lo})
-    replace(base, **{parameter: hi})
-
-
-def _check_budgets(spec) -> None:
-    if spec.n_transient < 0 or spec.n_record < 1 or spec.n_lyap < MIN_STEPS:
-        raise ValueError(
-            f"budgets must satisfy n_transient >= 0, n_record >= 1, n_lyap >= {MIN_STEPS}, "
-            f"got {spec.n_transient}, {spec.n_record}, {spec.n_lyap}"
-        )
-    check_period_tol(spec.period_tol)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One-parameter scan: base parameters with one field swept over a grid."""
@@ -92,8 +70,9 @@ class SweepSpec:
     period_tol: float = PERIOD_TOL
 
     def __post_init__(self):
-        _check_range(self.base, self.parameter, self.lo, self.hi, self.n_points)
-        _check_budgets(self)
+        check_axis(self, self.parameter, "lo", "hi")
+        check_at_least(self, n_points=2, n_transient=0, n_record=1, n_lyap=MIN_STEPS)
+        check_period_tol(self.period_tol)
 
 
 @dataclass(frozen=True)
@@ -193,13 +172,11 @@ class ChaosGridSpec:
     period_tol: float = PERIOD_TOL
 
     def __post_init__(self):
-        _check_range(self.base, "c2", self.c2_lo, self.c2_hi, self.c2_points)
-        _check_range(self.base, "c3", self.c3_lo, self.c3_hi, self.c3_points)
-        if not self.r2_values:
-            raise ValueError("r2_values must be non-empty")
-        for v in self.r2_values:
-            replace(self.base, r2=v)
-        _check_budgets(self)
+        check_axis(self, "c2", "c2_lo", "c2_hi")
+        check_axis(self, "c3", "c3_lo", "c3_hi")
+        check_floats(self, DOMAIN["r2"], "r2_values")
+        check_at_least(self, c2_points=2, c3_points=2, n_transient=0, n_record=1, n_lyap=MIN_STEPS)
+        check_period_tol(self.period_tol)
 
 
 @dataclass(frozen=True)

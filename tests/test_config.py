@@ -51,7 +51,7 @@ HUGE = 10**400
 
 class TestValidation:
     def test_growth_rate_out_of_domain_names_bound(self):
-        with pytest.raises(ConfigError, match=r"r2 must be in \[0, 4\]"):
+        with pytest.raises(ConfigError, match=r"key 'r2' must be in \[0, 4\]"):
             parse_config('{"r2": 5.0}')
 
     def test_unknown_top_level_key_rejected(self):
@@ -77,7 +77,7 @@ class TestValidation:
             parse_config('{"r2": 3.0, "sweep": {"parameter": "bogus"}}')
 
     def test_sweep_bounds_checked(self):
-        with pytest.raises(ConfigError, match="lo < hi"):
+        with pytest.raises(ConfigError, match="key 'sweep.lo' must be < hi"):
             parse_config('{"r2": 3.0, "sweep": {"lo": 4.0, "hi": 2.8}}')
 
     def test_grid_r2_values_checked(self):
@@ -117,11 +117,11 @@ class TestBlockRules:
         (Budgets, "budgets", "record", 0, 1, "key 'budgets.record' must be >= 1"),
         (Budgets, "budgets", "lyap", 99, 100, "key 'budgets.lyap' must be >= 100"),
         (SweepBlock, "sweep", "parameter", "bogus", "c4", "key 'sweep.parameter' must be"),
-        (SweepBlock, "sweep", "lo", 4.0, 3.9, "invalid section 'sweep': need lo < hi"),
+        (SweepBlock, "sweep", "lo", 4.0, 3.9, "key 'sweep.lo' must be < hi"),
         (SweepBlock, "sweep", "points", 1, 2, "key 'sweep.points' must be >= 2"),
         (SweepBlock, "sweep", "lyap", 99, 100, "key 'sweep.lyap' must be >= 100"),
-        (GridBlock, "grid", "c2_lo", 0.9, 0.8, "invalid section 'grid': need c2_lo < c2_hi"),
-        (GridBlock, "grid", "c3_hi", 0.1, 0.2, "invalid section 'grid': need c3_lo < c3_hi"),
+        (GridBlock, "grid", "c2_lo", 0.9, 0.8, "key 'grid.c2_lo' must be < c2_hi"),
+        (GridBlock, "grid", "c3_hi", 0.1, 0.2, "key 'grid.c3_lo' must be < c3_hi"),
         (GridBlock, "grid", "c2_points", 1, 2, "key 'grid.c2_points' must be >= 2"),
         (GridBlock, "grid", "c3_points", 1, 2, "key 'grid.c3_points' must be >= 2"),
         (GridBlock, "grid", "lyap", 99, 100, "key 'grid.lyap' must be >= 100"),

@@ -81,7 +81,7 @@ class TestSpecValidation:
             small_spec(n_points=1)
 
     def test_rejects_lyapunov_budget_below_min_steps(self):
-        with pytest.raises(ValueError, match="n_lyap >= 100"):
+        with pytest.raises(ValueError, match="n_lyap must be >= 100"):
             small_spec(n_lyap=99)
         small_spec(n_lyap=100)
 
