@@ -57,6 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import MAX_COUNT
+
 # Stand-in for log(0) when a tangent vector collapses exactly; roughly
 # log of the smallest subnormal double.  Final exponents are floored far
 # above this, so the precise value never shows through.
@@ -350,7 +352,7 @@ def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, 
     did not within n_transient + max(n_record, n_lyap) steps) and the last
     finite state.
     """
-    if min(n_transient, n_record, n_lyap) < 0 or n_transient + max(n_record, n_lyap) > 2**63 - 1:
+    if min(n_transient, n_record, n_lyap) < 0 or n_transient + max(n_record, n_lyap) > MAX_COUNT:
         raise ValueError(
             f"need budgets >= 0, 2**63 - 1 steps at most, got {n_transient}, {n_record}, {n_lyap}"
         )

@@ -38,6 +38,7 @@ __all__ = [
     "DEFAULT_STEPS",
     "SWEEP_STEPS",
     "MIN_STEPS",
+    "MAX_COUNT",
     "PERIOD_TOL",
     "EscapedTooEarly",
     "DOMAIN",
@@ -64,6 +65,9 @@ SWEEP_STEPS = 20_000
 # Fewest Lyapunov steps a run needs, both as a budget and as steps
 # completed before an escape.
 MIN_STEPS = 100
+# Largest count (a step budget or a number of grid points): the compiled
+# point loop counts steps in signed 64-bit integers.
+MAX_COUNT = 2**63 - 1
 # Relative tolerance of period detection.
 PERIOD_TOL = 1e-6
 
@@ -98,11 +102,14 @@ def check_floats(obj, rule: tuple, *names: str) -> None:
 
 
 def check_at_least(obj, **least: int) -> None:
-    """Each named count field of obj is at least its bound."""
+    """Each named count field of obj is at least its bound and at most
+    MAX_COUNT, whose refusal leaves out the digits of a huge value."""
     for name, bound in least.items():
         value = getattr(obj, name)
         if value < bound:
             raise ValueError(f"{name} must be >= {bound}, got {value}")
+        if value > MAX_COUNT:
+            raise ValueError(f"{name} must be <= 2**63 - 1")
 
 
 def check_axis(obj, parameter: str, lo: str, hi: str) -> None:

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, schemas, flag overrides, exit codes."""
 import json
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,18 @@ from ecokmap.csvio import read_csv
 from ecokmap.svgplot import count_data_elements
 
 BASE = {"r2": 3.5, "budgets": {"transient": 200, "record": 50, "lyap": 2000}}
+
+# Documents that the config refuses at parse time, each with the key at fault.
+REFUSED = [
+    ({"sweep": {"lo": -math.inf}}, "sweep.lo"),
+    ({"sweep": {"hi": 5}}, "sweep.hi"),
+    ({"grid": {"c2_lo": -1}}, "grid.c2_lo"),
+    ({"grid": {"r2_values": [5]}}, "grid.r2_values"),
+    ({"budgets": {"record": 10**30}}, "budgets.record"),
+    ({"sweep": {"points": 10**30}}, "sweep.points"),
+    ({"grid": {"c2_points": 10**30}}, "grid.c2_points"),
+    ({"initial": {"x": math.nan}}, "initial.x"),
+]
 
 
 @pytest.fixture
@@ -197,6 +210,18 @@ class TestExitCodes:
         assert err == (
             "ecokmap: invalid configuration: key 'c1' holds an integer too large for a float\n"
         )
+
+    @pytest.mark.parametrize("command", ["simulate", "fixed-points", "bifurcate", "chaos-grid"])
+    @pytest.mark.parametrize("doc, key", REFUSED, ids=[key for _, key in REFUSED])
+    def test_refused_key_is_named_under_every_command(
+        self, config_path, tmp_path, capsys, command, doc, key
+    ):
+        out = tmp_path / "o"
+        assert run(command, "--config", config_path({**BASE, **doc}), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"key '{key}'" in err and "Traceback" not in err
+        assert not re.search(r"\d{19}", err)  # a huge integer's digits are left out
+        assert not out.exists()
 
     def test_missing_config_file_is_3(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "nope.json")) == 3

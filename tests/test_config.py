@@ -1,5 +1,6 @@
 """Config document parsing, validation and exact round-trips."""
 import json
+import math
 import re
 from pathlib import Path
 
@@ -80,6 +81,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="key 'sweep.lo' must be < hi"):
             parse_config('{"r2": 3.0, "sweep": {"lo": 4.0, "hi": 2.8}}')
 
+    def test_nonfinite_initial_state_names_key(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config('{"r2": 3.0, "initial": {"x": NaN}}')
+        assert str(info.value) == "key 'initial.x' must be finite, got nan"
+
     def test_grid_r2_values_checked(self):
         with pytest.raises(ConfigError, match="r2_values"):
             parse_config('{"r2": 3.0, "grid": {"r2_values": []}}')
@@ -107,6 +113,16 @@ class TestValidation:
             parse_config('{"r2": 3.0,\n  "c1": }')
 
 
+# The smallest count refused: the compiled loop's step counters are int64.
+CAP = 2**63
+
+
+def rule_ids(rules):
+    """section.key for a key's first row, section.key=<bad value> for the rest."""
+    ids = [f"{r[1]}.{r[2]}" for r in rules]
+    return [i if ids.index(i) == n else f"{i}={r[3]}" for n, (i, r) in enumerate(zip(ids, rules))]
+
+
 class TestBlockRules:
     """Each range rule lives in its block's type: building the block
     directly and parsing a document both refuse a value past the bound,
@@ -116,21 +132,26 @@ class TestBlockRules:
         (Budgets, "budgets", "transient", -1, 0, "key 'budgets.transient' must be >= 0"),
         (Budgets, "budgets", "record", 0, 1, "key 'budgets.record' must be >= 1"),
         (Budgets, "budgets", "lyap", 99, 100, "key 'budgets.lyap' must be >= 100"),
+        (Budgets, "budgets", "record", CAP, CAP - 1, "key 'budgets.record' must be <= 2**63 - 1"),
         (SweepBlock, "sweep", "parameter", "bogus", "c4", "key 'sweep.parameter' must be"),
         (SweepBlock, "sweep", "lo", 4.0, 3.9, "key 'sweep.lo' must be < hi"),
+        (SweepBlock, "sweep", "lo", -math.inf, 0.0, "key 'sweep.lo' must be in [0, 4] for r2"),
+        (SweepBlock, "sweep", "hi", 5.0, 4.0, "key 'sweep.hi' must be in [0, 4] for r2"),
         (SweepBlock, "sweep", "points", 1, 2, "key 'sweep.points' must be >= 2"),
+        (SweepBlock, "sweep", "points", CAP, CAP - 1, "key 'sweep.points' must be <= 2**63 - 1"),
         (SweepBlock, "sweep", "lyap", 99, 100, "key 'sweep.lyap' must be >= 100"),
         (GridBlock, "grid", "c2_lo", 0.9, 0.8, "key 'grid.c2_lo' must be < c2_hi"),
+        (GridBlock, "grid", "c2_lo", -1.0, 0.0, "key 'grid.c2_lo' must be finite and >= 0 for c2"),
         (GridBlock, "grid", "c3_hi", 0.1, 0.2, "key 'grid.c3_lo' must be < c3_hi"),
         (GridBlock, "grid", "c2_points", 1, 2, "key 'grid.c2_points' must be >= 2"),
+        (GridBlock, "grid", "c2_points", CAP, CAP - 1, "key 'grid.c2_points' must be <= 2**63 - 1"),
         (GridBlock, "grid", "c3_points", 1, 2, "key 'grid.c3_points' must be >= 2"),
         (GridBlock, "grid", "lyap", 99, 100, "key 'grid.lyap' must be >= 100"),
         (GridBlock, "grid", "r2_values", (), (3.9,), "key 'grid.r2_values' must not be empty"),
+        (GridBlock, "grid", "r2_values", (5.0,), (4.0,), "key 'grid.r2_values' must be in [0, 4]"),
     ]
 
-    @pytest.mark.parametrize(
-        "cls, section, key, bad, ok, names", RULES, ids=[f"{r[1]}.{r[2]}" for r in RULES]
-    )
+    @pytest.mark.parametrize("cls, section, key, bad, ok, names", RULES, ids=rule_ids(RULES))
     def test_rule_holds_for_built_and_parsed_blocks(self, cls, section, key, bad, ok, names):
         with pytest.raises(ValueError):
             cls(**{key: bad})

@@ -181,3 +181,19 @@ class TestValidation:
     def test_jacobian_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Jacobian2(math.nan, 0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ModelParams(3.0, 5.0, 1.0, 0.0, 0.0, 1.0), "r2 must be in [0, 4], got 5.0"),
+            (lambda: ModelParams(3, 3, 1, -1, 0, 1), "c2 must be finite and >= 0, got -1.0"),
+            (lambda: State(0.0, math.nan), "y must be finite, got nan"),
+            (lambda: Jacobian2(1, 0, math.inf, 1), "a21 must be a finite Jacobian entry, got inf"),
+        ],
+        ids=["ModelParams-rate", "ModelParams-coupling", "State", "Jacobian2"],
+    )
+    def test_message_starts_with_field_name(self, build, message):
+        # config names the offending key from the first word of the message.
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message

@@ -76,6 +76,21 @@ class TestSpecValidation:
                 base=REF_BASE, parameter="c2", lo=-0.5, hi=1.0, n_points=5, s0=S0
             )
 
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.5, 4.5])
+    def test_sweep_spec_refuses_nonfinite_or_out_of_domain_end(self, end, value):
+        with pytest.raises(ValueError, match=rf"^{end} must be in \[0, 4\] for r2, got"):
+            small_spec(**{end: value})
+
+    @pytest.mark.parametrize("end", ["c2_lo", "c2_hi", "c3_lo", "c3_hi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.5])
+    def test_grid_spec_refuses_nonfinite_or_out_of_domain_end(self, end, value):
+        ends = {"c2_lo": 0.1, "c2_hi": 0.9, "c3_lo": 0.1, "c3_hi": 0.9, end: value}
+        with pytest.raises(ValueError, match=rf"^{end} must be finite and >= 0 for {end[:2]}, got"):
+            ChaosGridSpec(
+                base=REF_BASE, c2_points=3, c3_points=3, r2_values=(3.9,), s0=S0, **ends
+            )
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             small_spec(n_points=1)
