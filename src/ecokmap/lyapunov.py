@@ -74,8 +74,8 @@ def lyapunov_spectrum(
         raise ValueError(f"n_iter must be >= {MIN_STEPS}, got {n_iter}")
     if n_transient < 0:
         raise ValueError(f"n_transient must be >= 0, got {n_transient}")
-    lam1_series = np.empty(n_iter)
-    lam2_series = np.empty(n_iter)
+    lam1_series = _kernels.buffer(n_iter, "n_iter", n_iter)
+    lam2_series = _kernels.buffer(n_iter, "n_iter", n_iter)
     lam1, lam2, n_used, escaped, at_step = _kernels.lyapunov_kernel(
         p.r1, p.r2, p.c1, p.c2, p.c3, p.c4,
         s0.x, s0.y,

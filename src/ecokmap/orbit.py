@@ -167,7 +167,8 @@ def iterate(
     if n_transient < 0 or n_total <= n_transient:
         raise ValueError(f"need n_total > n_transient >= 0, got {n_total}, {n_transient}")
     check_period_tol(period_tol)
-    out = np.empty((n_total - n_transient, 2))
+    n_out = n_total - n_transient
+    out = _kernels.buffer((n_out, 2), "n_total - n_transient", n_out)
     n_rec, escaped, at_step = _kernels.orbit_kernel(
         p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_total, n_transient, ESCAPE_THRESHOLD, out
     )

@@ -122,8 +122,8 @@ def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, fl
     lambda1 values are taken before the next block runs.
     """
     lanes = _kernels.LANES
-    tail = np.empty((lanes, spec.n_record, 2))
-    norms = np.empty((2, lanes, spec.n_lyap))
+    tail = _kernels.buffer((lanes, spec.n_record, 2), "n_record", spec.n_record)
+    norms = _kernels.buffer((2, lanes, spec.n_lyap), "n_lyap", spec.n_lyap)
     for start in range(0, len(params), lanes):
         rows = [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4) for p in params[start : start + lanes]]
         runs = _kernels.point_lanes(

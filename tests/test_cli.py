@@ -252,6 +252,27 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert str(error) in err
 
+    @pytest.mark.parametrize(
+        "command, budgets, flags, budget",
+        [
+            ("simulate", {}, ["--steps", str(2**62)], "n_total - n_transient"),
+            ("bifurcate", {"record": 2**62}, [], "n_record"),
+            ("lyapunov", {}, ["--steps", str(2**62)], "n_iter"),
+        ],
+    )
+    def test_count_too_large_to_size_is_3(
+        self, config_path, tmp_path, capsys, command, budgets, flags, budget
+    ):
+        # Below the 2**63 - 1 cap, but numpy refuses the buffer's shape
+        # ("array is too big") before allocating anything.
+        doc = dict(BASE, budgets=dict(BASE["budgets"], **budgets))
+        out = tmp_path / "o"
+        assert run(command, "--config", config_path(doc), "--out", str(out), *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ecokmap: out of memory: {budget} = {2**62}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "phase", "bifurcate", "chaos-grid"])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_seed_tolerance_is_2(self, config_path, tmp_path, capsys, command, tol):

