@@ -52,9 +52,9 @@ This module imports numpy, so it loads with the first engine module
 (orbit, lyapunov or sweep) that a caller uses: `import ecokmap` and
 `import ecokmap.cli` load neither.
 
-The step and Jacobian expressions here repeat dynamics.step and
-dynamics.jacobian; tests/test_lyapunov.py::TestKernelFormulas and
-tests/test_orbit.py::TestDeterminism pin them bitwise against those.
+_py_loop takes the map and its Jacobian from dynamics.step_xy and
+jacobian_xy, as dynamics.step and jacobian do; _frame.c repeats them,
+and tests/test_kernels.py pins it bitwise against _py_loop.
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import MAX_COUNT
+from .dynamics import MAX_COUNT, jacobian_xy, step_xy
 
 # Stand-in for log(0) when a tangent vector collapses exactly; roughly
 # log of the smallest subnormal double.  Final exponents are floored far
@@ -88,12 +88,6 @@ _FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
 # One lane's tail and norm buffers for a window of no steps.
 _NO_WINDOW, _NO_NORMS = np.empty((1, 0, 2)), np.empty((1, 0))
-
-
-def _step_xy(r1, r2, c1, c2, c3, c4, x, y):
-    xn = x * r1 * (1.0 - c1 * x - c2 * y)
-    yn = y * r2 * (1.0 - c3 * x - c4 * y)
-    return xn, yn
 
 
 def _inside(x, y, threshold):
@@ -164,7 +158,7 @@ def _py_loop(
     both loops store a NaN norm as math.nan.
     """
     for n in range(1, n_transient + 1):
-        xn, yn = _step_xy(r1, r2, c1, c2, c3, c4, x, y)
+        xn, yn = step_xy(r1, r2, c1, c2, c3, c4, x, y)
         if not _inside(xn, yn, threshold):
             return n, x, y
         x, y = xn, yn
@@ -173,11 +167,7 @@ def _py_loop(
     q2x, q2y = 0.0, 1.0
     for i in range(max(n_record, n_lyap)):
         if i < n_lyap:
-            j11 = r1 * (1.0 - 2.0 * c1 * x - c2 * y)
-            j12 = -r1 * c2 * x
-            j21 = -r2 * c3 * y
-            j22 = r2 * (1.0 - c3 * x - 2.0 * c4 * y)
-
+            j11, j12, j21, j22 = jacobian_xy(r1, r2, c1, c2, c3, c4, x, y)
             v1x = j11 * q1x + j12 * q1y
             v1y = j21 * q1x + j22 * q1y
             v2x = j11 * q2x + j12 * q2y
@@ -205,7 +195,7 @@ def _py_loop(
                 q2y = q1x
             norm2[i] = n2
 
-        xn, yn = _step_xy(r1, r2, c1, c2, c3, c4, x, y)
+        xn, yn = step_xy(r1, r2, c1, c2, c3, c4, x, y)
         if not _inside(xn, yn, threshold):
             return n_transient + i + 1, x, y
         x, y = xn, yn
@@ -380,14 +370,11 @@ def lane_loop() -> str:
 def buffer(shape, name: str, count: int) -> np.ndarray:
     """np.empty(shape) for a buffer whose size the budget `name` = count
     sets.  numpy refuses with ValueError a shape it cannot even size (some
-    2**60 floats); for a count up to MAX_COUNT that is the fault of a
-    failed allocation, so both raise MemoryError naming the budget.  A
-    count past MAX_COUNT keeps numpy's ValueError: the budget is invalid."""
+    2**60 floats); callers cap count at MAX_COUNT, so that is the fault of
+    a failed allocation, and both raise MemoryError naming the budget."""
     try:
         return np.empty(shape)
     except (ValueError, MemoryError) as e:
-        if count > MAX_COUNT:
-            raise
         raise MemoryError(f"{name} = {count}: {e}") from None
 
 
@@ -482,7 +469,5 @@ def lyapunov_kernel(
         _log_norms(s)
         np.cumsum(s, out=s)
         s /= steps
-    hi, lo = _ordered(s1, s2, floor)
-    s1[:] = hi
-    s2[:] = lo
+    s1[:], s2[:] = _ordered(s1, s2, floor)
     return s1[-1], s2[-1], n_used, at_step > 0, at_step

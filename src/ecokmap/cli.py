@@ -2,8 +2,9 @@
 
 Each command reads one JSON config, runs the corresponding analysis and
 writes CSV data (plus an SVG with --plot) into the output directory.
-Flags override config values.  Exit codes: 0 success, 1 usage, 2 invalid
-config/values, 3 runtime failure.
+Flags override config values; a flag out of range is refused, by name,
+before the config is read.  Exit codes: 0 success, 1 usage, 2 invalid
+flag/config/values, 3 runtime failure.
 
 Importing this module loads no numpy: the engine and writer modules load
 when a command first uses one of their names (see _ENGINE), so
@@ -18,7 +19,8 @@ from pathlib import Path
 
 from . import _lazy_getattr
 from .config import ConfigError, RunConfig, parse_config
-from .dynamics import PERIOD_TOL, EscapedTooEarly, NonFiniteStepError
+from .dynamics import MIN_STEPS, NON_NEGATIVE, PERIOD_TOL, EscapedTooEarly, NonFiniteStepError
+from .dynamics import check_count, check_float
 
 __all__ = ["main", "build_parser"]
 
@@ -104,6 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
                 help="accepted for compatibility (>= 1); no effect on results or speed",
             )
     return parser
+
+
+def _check_flags(args) -> None:
+    """Refuse a flag out of range, by its name, with the checks of dynamics."""
+    flags = vars(args)
+    steps = MIN_STEPS if args.command == "lyapunov" else 1
+    for name, least in {"steps": steps, "transient": 0, "grid": 2, "workers": 1}.items():
+        if flags.get(name) is not None:
+            check_count(f"--{name}", flags[name], least)
+    if flags.get("seed_tolerance") is not None:
+        check_float("--seed-tolerance", flags["seed_tolerance"], NON_NEGATIVE)
 
 
 def _pick(override, fallback):
@@ -280,8 +293,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
+    except ValueError as e:
+        print(f"ecokmap: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

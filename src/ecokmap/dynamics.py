@@ -8,14 +8,15 @@ The map acts on a population-density pair (x, y):
 r1, r2 are logistic growth rates, c1/c4 self-limitation coefficients and
 c2/c3 cross-species competition coefficients.  Everything else in the
 package is built on the three functions defined here.  All operations are
-pure; values are frozen dataclasses.
+pure; values are frozen dataclasses.  step and jacobian, like the
+Python point loop, evaluate the formulas of step_xy and jacobian_xy.
 
 The step-budget defaults and minimum, the period tolerance, the
-parameter DOMAIN, the input checks that value types, config blocks and
-sweep specs share, and EscapedTooEarly also live here, because this
-module needs no numpy: the config parser and the CLI take them at import
-time without loading the engine.  orbit, lyapunov and sweep re-export
-the constants.  A check's message starts with the field's name.
+parameter DOMAIN, the input checks of fields, plain arguments and CLI
+flags, and EscapedTooEarly also live here, because this module needs no
+numpy: the config parser and the CLI take them at import time without
+loading the engine.  orbit, lyapunov and sweep re-export the constants.
+A check's message starts with the name of the value it checks.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ __all__ = [
     "NonFiniteStepError",
     "step",
     "jacobian",
+    "step_xy",
+    "jacobian_xy",
     "eigenvalues_2x2",
     "R_MIN",
     "R_MAX",
@@ -42,6 +45,9 @@ __all__ = [
     "PERIOD_TOL",
     "EscapedTooEarly",
     "DOMAIN",
+    "NON_NEGATIVE",
+    "check_float",
+    "check_count",
     "check_floats",
     "check_at_least",
     "check_axis",
@@ -50,10 +56,10 @@ __all__ = [
 R_MIN = 0.0
 R_MAX = 4.0
 # Each parameter's (test, description) rule, False on NaN: logistic growth
-# rates, and competition coefficients that are finite and non-negative.
+# rates, and NON_NEGATIVE for the couplings (and the period tolerance).
 _RATE = (lambda v: R_MIN <= v <= R_MAX, f"in [{R_MIN:g}, {R_MAX:g}]")
-_COUPLING = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-DOMAIN = {"r1": _RATE, "r2": _RATE, **dict.fromkeys(("c1", "c2", "c3", "c4"), _COUPLING)}
+NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+DOMAIN = {"r1": _RATE, "r2": _RATE, **dict.fromkeys(("c1", "c2", "c3", "c4"), NON_NEGATIVE)}
 SWEEPABLE_PARAMETERS = tuple(DOMAIN)
 
 # Step budgets: transient and recorded tail of an orbit, Lyapunov steps of
@@ -85,31 +91,40 @@ class EscapedTooEarly(RuntimeError):
     """Orbit escaped before MIN_STEPS post-transient steps completed."""
 
 
-def check_floats(obj, rule: tuple, *names: str) -> None:
-    """Coerce each named field of the frozen dataclass obj to a float (a
-    tuple field to a non-empty tuple of floats), test it and store it."""
+def check_float(name: str, value, rule: tuple) -> float:
+    """value as a float, refused unless rule's (test, description) holds."""
     test, what = rule
+    v = float(value)
+    if not test(v):
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+    return v
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    """Refuse a count below least or above MAX_COUNT (naming no huge digits)."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be <= 2**63 - 1")
+
+
+def check_floats(obj, rule: tuple, *names: str) -> None:
+    """check_float each named field of obj (each value of a non-empty tuple), and store it."""
     for name in names:
         value = getattr(obj, name)
-        many = isinstance(value, (tuple, list))
-        values = tuple(map(float, value)) if many else (float(value),)
-        if not values:
-            raise ValueError(f"{name} must not be empty")
-        for v in values:
-            if not test(v):
-                raise ValueError(f"{name} must be {what}, got {v!r}")
-        object.__setattr__(obj, name, values if many else values[0])
+        if isinstance(value, (tuple, list)):
+            if not value:
+                raise ValueError(f"{name} must not be empty")
+            value = tuple(check_float(name, v, rule) for v in value)
+        else:
+            value = check_float(name, value, rule)
+        object.__setattr__(obj, name, value)
 
 
 def check_at_least(obj, **least: int) -> None:
-    """Each named count field of obj is at least its bound and at most
-    MAX_COUNT, whose refusal leaves out the digits of a huge value."""
+    """check_count each named count field of obj against its bound."""
     for name, bound in least.items():
-        value = getattr(obj, name)
-        if value < bound:
-            raise ValueError(f"{name} must be >= {bound}, got {value}")
-        if value > MAX_COUNT:
-            raise ValueError(f"{name} must be <= 2**63 - 1")
+        check_count(name, getattr(obj, name), bound)
 
 
 def check_axis(obj, parameter: str, lo: str, hi: str) -> None:
@@ -172,6 +187,21 @@ class Jacobian2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
 
+def step_xy(r1, r2, c1, c2, c3, c4, x, y) -> tuple[float, float]:
+    """The map's raw value at (x, y) on plain floats."""
+    return x * r1 * (1.0 - c1 * x - c2 * y), y * r2 * (1.0 - c3 * x - c4 * y)
+
+
+def jacobian_xy(r1, r2, c1, c2, c3, c4, x, y) -> tuple[float, float, float, float]:
+    """The entries (a11, a12, a21, a22) of step_xy's derivative at (x, y)."""
+    return (
+        r1 * (1.0 - 2.0 * c1 * x - c2 * y),
+        -r1 * c2 * x,
+        -r2 * c3 * y,
+        r2 * (1.0 - c3 * x - 2.0 * c4 * y),
+    )
+
+
 def step(p: ModelParams, s: State) -> State:
     """Advance one generation.
 
@@ -180,23 +210,15 @@ def step(p: ModelParams, s: State) -> State:
     through as-is so that escape can be observed honestly.  Raises
     NonFiniteStepError if the result overflows.
     """
-    x, y = s.x, s.y
-    xn = x * p.r1 * (1.0 - p.c1 * x - p.c2 * y)
-    yn = y * p.r2 * (1.0 - p.c3 * x - p.c4 * y)
+    xn, yn = step_xy(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s.x, s.y)
     if not (math.isfinite(xn) and math.isfinite(yn)):
-        raise NonFiniteStepError(f"map escaped to non-finite value from ({x!r}, {y!r})")
+        raise NonFiniteStepError(f"map escaped to non-finite value from ({s.x!r}, {s.y!r})")
     return State(xn, yn)
 
 
 def jacobian(p: ModelParams, s: State) -> Jacobian2:
     """Exact derivative matrix of `step` at state `s`."""
-    x, y = s.x, s.y
-    return Jacobian2(
-        a11=p.r1 * (1.0 - 2.0 * p.c1 * x - p.c2 * y),
-        a12=-p.r1 * p.c2 * x,
-        a21=-p.r2 * p.c3 * y,
-        a22=p.r2 * (1.0 - p.c3 * x - 2.0 * p.c4 * y),
-    )
+    return Jacobian2(*jacobian_xy(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s.x, s.y))
 
 
 def eigenvalues_2x2(j: Jacobian2) -> tuple[complex, complex]:

@@ -13,15 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import (
-    DEFAULT_STEPS,
-    DEFAULT_TRANSIENT,
-    MIN_STEPS,
-    SWEEP_STEPS,
-    EscapedTooEarly,
-    ModelParams,
-    State,
-)
+from .dynamics import DEFAULT_STEPS, DEFAULT_TRANSIENT, MIN_STEPS, SWEEP_STEPS, EscapedTooEarly
+from .dynamics import ModelParams, State, check_count
 from .orbit import ESCAPE_THRESHOLD
 
 __all__ = [
@@ -70,12 +63,9 @@ def lyapunov_spectrum(
     provided at least MIN_STEPS steps completed; otherwise EscapedTooEarly
     is raised.  A budget n_iter below MIN_STEPS is rejected with ValueError.
     """
-    if n_iter < MIN_STEPS:
-        raise ValueError(f"n_iter must be >= {MIN_STEPS}, got {n_iter}")
-    if n_transient < 0:
-        raise ValueError(f"n_transient must be >= 0, got {n_transient}")
-    lam1_series = _kernels.buffer(n_iter, "n_iter", n_iter)
-    lam2_series = _kernels.buffer(n_iter, "n_iter", n_iter)
+    check_count("n_iter", n_iter, MIN_STEPS)
+    check_count("n_transient", n_transient, 0)
+    lam1_series, lam2_series = _kernels.buffer((2, n_iter), "n_iter", n_iter)
     lam1, lam2, n_used, escaped, at_step = _kernels.lyapunov_kernel(
         p.r1, p.r2, p.c1, p.c2, p.c3, p.c4,
         s0.x, s0.y,
@@ -102,8 +92,7 @@ def lambda_series(result: LyapunovResult, stride: int = 1) -> np.ndarray:
     Keeps rows with n divisible by stride and always includes the final
     row, so a convergence plot ends at the reported exponents.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    check_count("stride", stride, 1)
     s = result.series
     keep = (s[:, 0] % stride) == 0
     keep[-1] = True

@@ -10,13 +10,13 @@ CSV writer and the plots take.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .dynamics import DEFAULT_RECORD, DEFAULT_TRANSIENT, PERIOD_TOL, ModelParams, State
+from .dynamics import NON_NEGATIVE, check_count, check_float
 
 __all__ = [
     "Settled",
@@ -27,7 +27,6 @@ __all__ = [
     "OrbitRecord",
     "iterate",
     "detect_period",
-    "check_period_tol",
     "ESCAPE_THRESHOLD",
     "DEFAULT_TRANSIENT",
     "DEFAULT_RECORD",
@@ -111,12 +110,6 @@ class OrbitRecord:
         return range(self.first_index, self.first_index + len(self.tail)), *self.tail.T
 
 
-def check_period_tol(period_tol: float) -> None:
-    """Reject a period tolerance that is negative, infinite or NaN."""
-    if not 0.0 <= period_tol < math.inf:
-        raise ValueError(f"period_tol must be finite and >= 0, got {period_tol!r}")
-
-
 def detect_period(tail, max_period: int = MAX_PERIOD, period_tol: float = PERIOD_TOL) -> Outcome:
     """Smallest period k <= max_period under a relative sup-norm test.
 
@@ -131,9 +124,8 @@ def detect_period(tail, max_period: int = MAX_PERIOD, period_tol: float = PERIOD
     n = len(a)
     if n == 0:
         raise ValueError("tail must be non-empty")
-    if max_period < 1:
-        raise ValueError(f"max_period must be >= 1, got {max_period}")
-    check_period_tol(period_tol)
+    check_count("max_period", max_period, 1)
+    check_float("period_tol", period_tol, NON_NEGATIVE)
     bound = period_tol * (1.0 + _sup(a))
     # A k-periodic tail passes on row 0 against row k: only those k get the full test.
     candidates = np.flatnonzero(_sup(a[1 : min(max_period, n - 1) + 1] - a[0]) <= bound[0]) + 1
@@ -164,9 +156,9 @@ def iterate(
     record at the offending step and yields an Escaped outcome; otherwise
     the tail is classified by detect_period.
     """
-    if n_transient < 0 or n_total <= n_transient:
-        raise ValueError(f"need n_total > n_transient >= 0, got {n_total}, {n_transient}")
-    check_period_tol(period_tol)
+    check_count("n_transient", n_transient, 0)
+    check_count("n_total", n_total, n_transient + 1)
+    check_float("period_tol", period_tol, NON_NEGATIVE)
     n_out = n_total - n_transient
     out = _kernels.buffer((n_out, 2), "n_total - n_transient", n_out)
     n_rec, escaped, at_step = _kernels.orbit_kernel(

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels, orbit
-from .dynamics import DOMAIN, SWEEPABLE_PARAMETERS, ModelParams, State
-from .dynamics import check_at_least, check_axis, check_floats
+from .dynamics import DOMAIN, NON_NEGATIVE, SWEEPABLE_PARAMETERS, ModelParams, State
+from .dynamics import check_at_least, check_axis, check_count, check_floats
 from .lyapunov import LAMBDA_FLOOR, MIN_STEPS, SWEEP_STEPS
 from .orbit import (
     DEFAULT_RECORD,
@@ -29,7 +29,6 @@ from .orbit import (
     PERIOD_TOL,
     Escaped,
     OrbitRecord,
-    check_period_tol,
     outcome_label,
 )
 
@@ -72,7 +71,7 @@ class SweepSpec:
     def __post_init__(self):
         check_axis(self, self.parameter, "lo", "hi")
         check_at_least(self, n_points=2, n_transient=0, n_record=1, n_lyap=MIN_STEPS)
-        check_period_tol(self.period_tol)
+        check_floats(self, NON_NEGATIVE, "period_tol")
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,6 @@ class SweepResult:
     spec: SweepSpec
     grid: np.ndarray
     points: tuple[SweepPoint, ...]
-
-
-def _check_workers(workers: int | None) -> None:
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _record(spec, tail: np.ndarray, at_step: int, last: tuple[float, float]) -> OrbitRecord:
@@ -143,7 +137,8 @@ def bifurcation_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResul
     place and never aborts the sweep.  workers is accepted for
     compatibility (it must be >= 1) and changes nothing.
     """
-    _check_workers(workers)
+    if workers is not None:
+        check_count("workers", workers, 1)
     grid = grid_values(spec.lo, spec.hi, spec.n_points)
     params = [replace(spec.base, **{spec.parameter: v}) for v in grid]
     points = tuple(
@@ -176,7 +171,7 @@ class ChaosGridSpec:
         check_axis(self, "c3", "c3_lo", "c3_hi")
         check_floats(self, DOMAIN["r2"], "r2_values")
         check_at_least(self, c2_points=2, c3_points=2, n_transient=0, n_record=1, n_lyap=MIN_STEPS)
-        check_period_tol(self.period_tol)
+        check_floats(self, NON_NEGATIVE, "period_tol")
 
 
 @dataclass(frozen=True)
@@ -218,7 +213,8 @@ def chaos_grid(spec: ChaosGridSpec, workers: int | None = None) -> ChaosGridResu
     Cells are ordered (r2 outer, c2 middle, c3 inner).  workers is
     accepted for compatibility (it must be >= 1) and changes nothing.
     """
-    _check_workers(workers)
+    if workers is not None:
+        check_count("workers", workers, 1)
     c2_grid = grid_values(spec.c2_lo, spec.c2_hi, spec.c2_points)
     c3_grid = grid_values(spec.c3_lo, spec.c3_hi, spec.c3_points)
     tasks = [(r2, c2, c3) for r2 in spec.r2_values for c2 in c2_grid for c3 in c3_grid]

@@ -281,7 +281,7 @@ class TestExitCodes:
             "--seed-tolerance", tol,
         ) == 2
         err = capsys.readouterr().err
-        assert "period_tol" in err and f"got {float(tol)!r}" in err
+        assert err == f"ecokmap: --seed-tolerance must be finite and >= 0, got {float(tol)!r}\n"
 
     @pytest.mark.parametrize("command", ["lyapunov", "fixed-points"])
     @pytest.mark.parametrize("tol", ["-1", "1e-6"])
@@ -338,7 +338,7 @@ class TestExitCodes:
             "--steps", "50",
         ) == 2
         err = capsys.readouterr().err
-        assert "n_iter must be >= 100, got 50" in err and "escaped" not in err
+        assert err == "ecokmap: --steps must be >= 100, got 50\n"
 
     @pytest.mark.parametrize("block", ["sweep", "grid"])
     def test_sweep_lyapunov_budget_below_minimum_is_2(self, config_path, tmp_path, capsys, block):

@@ -20,6 +20,9 @@ from ecokmap.dynamics import (
     jacobian,
     step,
 )
+from ecokmap.lyapunov import LyapunovResult, lambda_series, lyapunov_spectrum
+from ecokmap.orbit import iterate
+from ecokmap.sweep import SweepSpec, bifurcation_sweep
 
 rates = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 coeffs = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -158,6 +161,11 @@ class TestEigenvalues:
         assert abs(e1) >= abs(e2)
 
 
+P, S0 = ModelParams(3.0, 3.9, 1.8, 0.6, 0.6, 2.5), State(0.2, 0.1)
+RESULT = LyapunovResult(0.0, 0.0, np.zeros((1, 3)), 1, False)
+SPEC = SweepSpec(P, "r2", 3.8, 3.9, 2, S0)
+
+
 class TestValidation:
     @pytest.mark.parametrize("field,value", [("r1", 4.5), ("r2", -0.1), ("r1", math.nan)])
     def test_growth_rate_domain(self, field, value):
@@ -189,8 +197,18 @@ class TestValidation:
             (lambda: ModelParams(3, 3, 1, -1, 0, 1), "c2 must be finite and >= 0, got -1.0"),
             (lambda: State(0.0, math.nan), "y must be finite, got nan"),
             (lambda: Jacobian2(1, 0, math.inf, 1), "a21 must be a finite Jacobian entry, got inf"),
+            # Plain arguments of the engine name themselves as fields do.
+            (lambda: iterate(P, S0, 2**63, 0), "n_total must be <= 2**63 - 1"),
+            (lambda: iterate(P, S0, 100, -5), "n_transient must be >= 0, got -5"),
+            (lambda: lyapunov_spectrum(P, S0, 0, 2**63), "n_iter must be <= 2**63 - 1"),
+            (lambda: lambda_series(RESULT, 2**64), "stride must be <= 2**63 - 1"),
+            (lambda: bifurcation_sweep(SPEC, workers=2**64), "workers must be <= 2**63 - 1"),
         ],
-        ids=["ModelParams-rate", "ModelParams-coupling", "State", "Jacobian2"],
+        ids=[
+            "ModelParams-rate", "ModelParams-coupling", "State", "Jacobian2",
+            "iterate-n_total", "iterate-n_transient", "lyapunov_spectrum-n_iter",
+            "lambda_series-stride", "bifurcation_sweep-workers",
+        ],
     )
     def test_message_starts_with_field_name(self, build, message):
         # config names the offending key from the first word of the message.

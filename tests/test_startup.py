@@ -67,8 +67,9 @@ class TestNoNumpyBeforeItIsNeeded:
             (["fixed-points", "--config", "{config}"], 0),
             (["simulate", "--bogus"], 1),
             (["simulate", "--config", "{bad}"], 2),
+            (["bifurcate", "--config", "{config}", "--grid", "1"], 2),
         ],
-        ids=["fixed-points", "usage-error", "config-error"],
+        ids=["fixed-points", "usage-error", "config-error", "flag-refusal"],
     )
     def test_commands_that_need_no_numpy(self, config, argv, rc):
         bad = config.with_name("bad.json")
