@@ -123,6 +123,27 @@ def _pick(override, fallback):
     return fallback if override is None else override
 
 
+class _StepTotalError(ValueError):
+    """Step budgets that each pass but together run past MAX_COUNT steps."""
+
+
+def _steps(args, transient: tuple, steps: tuple, lyap: tuple = ("", 0)) -> tuple[int, int]:
+    """The budgets --transient and --steps set: each flag's value when
+    given, else its default, a (name, value) pair such as the config key's.
+    A run takes the transient, then the longer of the --steps budget and a
+    sweep's Lyapunov budget lyap; past MAX_COUNT steps, the compiled loop's
+    step-counter limit, it is refused, naming its budgets (flags first)."""
+    transient = transient if args.transient is None else ("--transient", args.transient)
+    steps = steps if args.steps is None else ("--steps", args.steps)
+    run = (transient, max(steps, lyap, key=lambda b: b[1]))
+    run = sorted(run, key=lambda b: not b[0].startswith("--"))
+    try:
+        check_count(" + ".join(name for name, _ in run), sum(value for _, value in run), 0)
+    except ValueError as e:
+        raise _StepTotalError(str(e)) from None
+    return transient[1], steps[1]
+
+
 def _write(out_dir: Path, name: str, content, columns=None) -> None:
     """Write out_dir/name and report it: `content` is the file's text or,
     with `columns`, the CSV header."""
@@ -135,13 +156,11 @@ def _write(out_dir: Path, name: str, content, columns=None) -> None:
     print(f"wrote {path}")
 
 
-def _cmd_orbit(
-    cfg: RunConfig, args, out_dir: Path, stem: str, transient: int, record: int, plot
-) -> int:
+def _cmd_orbit(cfg: RunConfig, args, out_dir: Path, stem: str, transient, record, plot) -> int:
     """simulate and phase: iterate one orbit, write <stem>.csv and print its
-    outcome; with --plot also <stem>.svg, drawn by plot(n, x, y, outcome label)."""
-    transient = _pick(args.transient, transient)
-    record = _pick(args.steps, record)
+    outcome; with --plot also <stem>.svg, drawn by plot(n, x, y, outcome label).
+    transient and record are the (name, value) defaults of the two budgets."""
+    transient, record = _steps(args, transient, record)
     tol = _pick(args.seed_tolerance, PERIOD_TOL)
     rec = _cli.iterate(cfg.params, cfg.initial, transient + record, transient, period_tol=tol)
     n, x, y = rec.columns()
@@ -163,8 +182,9 @@ def cmd_simulate(cfg: RunConfig, args, out_dir: Path) -> int:
             title=f"orbit tail, r2={cfg.params.r2:g} ({label})",
         )
 
-    budgets = cfg.budgets
-    return _cmd_orbit(cfg, args, out_dir, "orbit", budgets.transient, budgets.record, plot)
+    b = cfg.budgets
+    transient, record = ("budgets.transient", b.transient), ("budgets.record", b.record)
+    return _cmd_orbit(cfg, args, out_dir, "orbit", transient, record, plot)
 
 
 def cmd_fixed_points(cfg: RunConfig, args, out_dir: Path) -> int:
@@ -175,6 +195,13 @@ def cmd_fixed_points(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
     s = cfg.sweep
+    b = cfg.budgets
+    transient, record = _steps(
+        args,
+        ("budgets.transient", b.transient),
+        ("budgets.record", b.record),
+        ("sweep.lyap", s.lyap),
+    )
     spec = _cli.SweepSpec(
         base=cfg.params,
         parameter=s.parameter,
@@ -182,8 +209,8 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
         hi=s.hi,
         n_points=_pick(args.grid, s.points),
         s0=cfg.initial,
-        n_transient=_pick(args.transient, cfg.budgets.transient),
-        n_record=_pick(args.steps, cfg.budgets.record),
+        n_transient=transient,
+        n_record=record,
         n_lyap=s.lyap,
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
@@ -203,8 +230,8 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
-    transient = _pick(args.transient, cfg.budgets.transient)
-    n_iter = _pick(args.steps, cfg.budgets.lyap)
+    b = cfg.budgets
+    transient, n_iter = _steps(args, ("budgets.transient", b.transient), ("budgets.lyap", b.lyap))
     result = _cli.lyapunov_spectrum(cfg.params, cfg.initial, transient, n_iter)
     stride = max(1, n_iter // 1000)
     series = _cli.lambda_series(result, stride)
@@ -228,6 +255,13 @@ def cmd_lyapunov(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
     g = cfg.grid
+    b = cfg.budgets
+    transient, record = _steps(
+        args,
+        ("budgets.transient", b.transient),
+        ("budgets.record", b.record),
+        ("grid.lyap", g.lyap),
+    )
     spec = _cli.ChaosGridSpec(
         base=cfg.params,
         c2_lo=g.c2_lo,
@@ -238,8 +272,8 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
         c3_points=_pick(args.grid, g.c3_points),
         r2_values=g.r2_values if g.r2_values is not None else (cfg.params.r2,),
         s0=cfg.initial,
-        n_transient=_pick(args.transient, cfg.budgets.transient),
-        n_record=_pick(args.steps, cfg.budgets.record),
+        n_transient=transient,
+        n_record=record,
         n_lyap=g.lyap,
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
@@ -276,7 +310,9 @@ def cmd_phase(cfg: RunConfig, args, out_dir: Path) -> int:
             radius=2.0,
         )
 
-    return _cmd_orbit(cfg, args, out_dir, "phase", PHASE_TRANSIENT, PHASE_RECORD, plot)
+    transient = (f"{PHASE_TRANSIENT} transient steps", PHASE_TRANSIENT)
+    record = (f"{PHASE_RECORD} recorded steps", PHASE_RECORD)
+    return _cmd_orbit(cfg, args, out_dir, "phase", transient, record, plot)
 
 
 _COMMANDS = {
@@ -309,6 +345,9 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out_dir)
         return _COMMANDS[args.command](cfg, args, out_dir)
+    except _StepTotalError as e:  # names flags as well as config keys
+        print(f"ecokmap: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ConfigError, ValueError) as e:
         print(f"ecokmap: invalid configuration: {e}", file=sys.stderr)
         return EXIT_VALIDATION

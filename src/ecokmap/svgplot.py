@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .csvio import distinct_index
+
 __all__ = ["scatter_svg", "line_svg", "heatmap_svg", "count_data_elements"]
 
 WIDTH = 640.0
@@ -40,9 +42,12 @@ def _pad_range(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _span(v: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest finite value; (0, 1) when there is none."""
-    finite = v[np.isfinite(v)].tolist()
-    return min(finite, default=0.0), max(finite, default=1.0)
+    """Smallest and largest finite value, the first of equals as Python's
+    min and max pick (0.0 or -0.0); (0, 1) when there is none."""
+    finite = v[np.isfinite(v)]
+    if not len(finite):
+        return 0.0, 1.0
+    return float(finite[finite.argmin()]), float(finite[finite.argmax()])
 
 
 class _Axes:
@@ -129,14 +134,45 @@ def _axes_elems(ax: _Axes, xlabel: str, ylabel: str) -> list[str]:
 _CIRCLE = '<circle class="d" cx="%.2f" cy="%.2f" r="{r}" fill="#1f5fa8"/>'
 
 
+def _distinct_points(px: np.ndarray, py: np.ndarray):
+    """((x, y), index): the distinct points (px, py) by bit pattern, as two
+    arrays, and each point's index among them; None where distinct_index
+    finds too few repeats, in either coordinate or in the points."""
+    fx, fy = distinct_index(px.view(np.int64)), distinct_index(py.view(np.int64))
+    if fx is None or fy is None:
+        return None
+    (dx, key), (dy, iy) = fx, fy
+    key *= len(dy)  # each point's two indexes as one number, in place
+    key += iy
+    del fx, fy, iy  # frees iy's n indexes before the next sort
+    points = distinct_index(key)
+    if points is None:
+        return None
+    keys, index = points
+    return (dx.view(np.float64)[keys // len(dy)], dy.view(np.float64)[keys % len(dy)]), index
+
+
+def _pairs(px: np.ndarray, py: np.ndarray):
+    """The pixel pairs "x,y" of the points (px, py), CHUNK_POINTS per list.
+    Points that repeat (a settled orbit's) are formatted once per distinct
+    point and gathered; the bytes are the same either way."""
+    points = _distinct_points(px, py)
+    if points is None:
+        for start in range(0, len(px), CHUNK_POINTS):
+            chunk = slice(start, start + CHUNK_POINTS)
+            yield list(map("%.2f,%.2f".__mod__, zip(px[chunk].tolist(), py[chunk].tolist())))
+        return
+    (x, y), index = points
+    pairs = np.array(list(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist()))), dtype=object)
+    for start in range(0, len(index), CHUNK_POINTS):
+        yield pairs[index[start : start + CHUNK_POINTS]].tolist()
+
+
 def _marks(ax: _Axes, xs: np.ndarray, ys: np.ndarray, radius: float):
     """Per CHUNK_POINTS points, their pixel pairs "x,y" and their circles
     (class "d") as one string, so no string per point outlives its chunk."""
     c_open, c_close = _CIRCLE.format(r=_fmt(radius)).split('%.2f" cy="%.2f')
-    pxs, pys = ax.px(xs).tolist(), ax.py(ys).tolist()
-    for start in range(0, len(pxs), CHUNK_POINTS):
-        chunk = slice(start, start + CHUNK_POINTS)
-        pairs = list(map("%.2f,%.2f".__mod__, zip(pxs[chunk], pys[chunk])))
+    for pairs in _pairs(ax.px(xs), ax.py(ys)):
         # Each pair is formatted once: a circle is its text, comma replaced.
         yield pairs, c_open + (c_close + "\n" + c_open).join(pairs).replace(",", '" cy="') + c_close
 

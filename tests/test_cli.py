@@ -11,6 +11,8 @@ from ecokmap.csvio import read_csv
 from ecokmap.svgplot import count_data_elements
 
 BASE = {"r2": 3.5, "budgets": {"transient": 200, "record": 50, "lyap": 2000}}
+# The largest step budget a flag accepts.
+MAX = str(2**63 - 1)
 
 # Documents that the config refuses at parse time, each with the key at fault.
 REFUSED = [
@@ -325,6 +327,38 @@ class TestExitCodes:
         ) == 2
         assert "2**63 - 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, budgets, flags, names",
+        [
+            ("simulate", {}, ["--transient", MAX, "--steps", "5"], "--transient + --steps"),
+            ("simulate", {"transient": 2**63 - 1}, [], "budgets.transient + budgets.record"),
+            ("simulate", {}, ["--steps", MAX], "--steps + budgets.transient"),
+            ("phase", {}, ["--transient", MAX], "--transient + 100 recorded steps"),
+            ("phase", {}, ["--steps", MAX], "--steps + 500 transient steps"),
+            ("lyapunov", {}, ["--transient", MAX], "--transient + budgets.lyap"),
+            ("bifurcate", {}, ["--transient", MAX, "--grid", "2"], "--transient + sweep.lyap"),
+            ("bifurcate", {"record": 2**62}, ["--transient", str(2**62)],
+             "--transient + budgets.record"),
+            ("chaos-grid", {}, ["--transient", MAX, "--grid", "2"], "--transient + grid.lyap"),
+            ("chaos-grid", {"transient": 2**62}, ["--steps", str(2**62)],
+             "--steps + budgets.transient"),
+        ],
+    )
+    def test_step_total_beyond_int64_names_its_budgets(
+        self, config_path, tmp_path, capsys, monkeypatch, command, budgets, flags, names
+    ):
+        # Each budget passes on its own; a run takes their sum.  Refused
+        # before any lanes run, naming the flags and config keys.
+        def lanes(*args):
+            raise AssertionError("a refused budget reached the lanes")
+
+        monkeypatch.setattr(_kernels, "_loop", lambda: (lanes, _kernels._py_row_sums))
+        doc = dict(BASE, budgets=dict(BASE["budgets"], **budgets))
+        out = tmp_path / "o"
+        assert run(command, "--config", config_path(doc), "--out", str(out), *flags) == 2
+        assert capsys.readouterr().err == f"ecokmap: {names} must be <= 2**63 - 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bifurcate", "chaos-grid"])
     def test_single_point_grid_is_2(self, config_path, tmp_path, command):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from ecokmap import svgplot
+from ecokmap import csvio, svgplot
 from ecokmap.csvio import format_value, read_csv, render_csv, write_csv
 from ecokmap.svgplot import count_data_elements, heatmap_svg, line_svg, scatter_svg
 
@@ -199,8 +199,6 @@ class TestCsvTemplates:
         assert lone == reference_csv(["b,c"], [["", "x"]]) == '"b,c"\n""\nx\n'
 
     def test_streams_more_rows_than_one_chunk(self, tmp_path, monkeypatch):
-        from ecokmap import csvio
-
         monkeypatch.setattr(csvio, "CHUNK_ROWS", 7)
         for n_rows in (0, 6, 7, 49, 50):  # none, part of a chunk, whole chunks, a remainder
             columns = [
@@ -233,6 +231,102 @@ class TestCsvTemplates:
         with pytest.raises(error):
             write_csv(path, ["n", "v"], columns)
         assert not path.exists()
+
+
+# Floats whose bytes or formatting are easy to get wrong when each
+# distinct value is formatted once: signed zeros, a NaN with its sign bit
+# set (written "nan"), both infinities and the smallest subnormal.
+NEG_NAN = -math.nan
+SPECIAL_FLOATS = [0.0, -0.0, NEG_NAN, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1 / 3]
+
+
+KINDS = ["float", "float64", "array", "column"]
+
+
+def as_kind(values, kind):
+    """values as a list of floats, a list of numpy float64, an array or a
+    strided read-only column of a 2-d array (as OrbitRecord.columns gives)."""
+    if kind == "float64":
+        return [np.float64(v) for v in values]
+    if kind == "column":
+        column = np.column_stack([values, values])[:, 0]
+        column.flags.writeable = False
+        return column
+    return np.array(values) if kind == "array" else list(values)
+
+
+def repeating(pool, n_rows, rng):
+    """n_rows values drawn from pool, every value of pool among them."""
+    return [*pool, *(pool[i] for i in rng.integers(0, len(pool), n_rows - len(pool)))]
+
+
+class TestRepeatedFloats:
+    """Columns whose values repeat: each distinct value is formatted once,
+    and the bytes must still be csv.writer + format_value's."""
+
+    def test_signed_zeros_and_nans_keep_their_text(self):
+        assert math.copysign(1.0, NEG_NAN) == -1.0
+        assert csvio.format_floats(np.array([-0.0, 0.0] * 4), "%.17g") == (
+            "%s", ["-0", "0"] * 4
+        )
+        assert csvio.format_floats(np.array([NEG_NAN, math.nan] * 4), "%.17g") == (
+            "%s", ["nan"] * 8
+        )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_special_values_same_bytes_as_reference(self, kind):
+        rng = np.random.default_rng(0)
+        n_rows = len(SPECIAL_FLOATS) * csvio.MIN_REPEATS * 3
+        columns = [
+            range(n_rows),
+            as_kind(repeating(SPECIAL_FLOATS, n_rows, rng), kind),
+            as_kind(repeating(SPECIAL_FLOATS[:3], n_rows, rng), kind),
+        ]
+        expected = csv_writer_csv(["n", "a", "b"], columns)
+        assert expected == reference_csv(["n", "a", "b"], columns)
+        assert render_csv(["n", "a", "b"], columns) == expected
+        for column in columns[1:]:
+            assert csvio._column(column, False)[0] == "%s"  # formatted once per value
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "one-past"])
+    def test_distinct_share_at_and_past_the_threshold(self, kind, extra):
+        n_distinct = len(SPECIAL_FLOATS)
+        n_rows = n_distinct * csvio.MIN_REPEATS
+        pool = SPECIAL_FLOATS + [0.25 * i for i in range(1, extra + 1)]
+        column = as_kind(repeating(pool, n_rows, np.random.default_rng(1)), kind)
+        conversion, _ = csvio._column(column, False)
+        assert conversion == ("%s" if extra == 0 else "%.17g")
+        expected = csv_writer_csv(["v"], [column])
+        assert render_csv(["v"], [column]) == expected == reference_csv(["v"], [column])
+
+    @given(
+        pool=st.lists(st.floats() | st.sampled_from(SPECIAL_FLOATS), min_size=1, max_size=6),
+        repeats=st.integers(min_value=1, max_value=8),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_repeating_columns_same_bytes_as_reference(self, pool, repeats, kind, seed):
+        rng = np.random.default_rng(seed)
+        n_rows = len(pool) * repeats
+        columns = [as_kind(repeating(pool, n_rows, rng), kind), range(n_rows)]
+        assert render_csv(["x", "n"], columns) == reference_csv(["x", "n"], columns)
+
+    def test_chunk_boundaries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csvio, "CHUNK_ROWS", 7)
+        rng = np.random.default_rng(2)
+        for n_rows in (0, 6, 7, 49, 50):
+            pool = SPECIAL_FLOATS[: max(1, n_rows // csvio.MIN_REPEATS)]
+            columns = [
+                range(n_rows),
+                np.array(repeating(pool, max(n_rows, len(pool)), rng)[:n_rows]),
+                np.arange(n_rows) / 7,  # distinct: formatted per row
+            ]
+            assert csvio._column(columns[1], False)[0] == "%s"
+            write_csv(tmp_path / "t.csv", ["n", "a", "v"], columns)
+            expected = reference_csv(["n", "a", "v"], columns)
+            assert (tmp_path / "t.csv").read_text() == expected
 
 
 class ReferenceAxes(svgplot._Axes):
@@ -324,3 +418,79 @@ class TestSvgAgainstScalarReference:
         for kind in ("scatter", "line"):
             got = render(kind, pts[:, 0], pts[:, 1], radius=2.0)
             assert got == reference_svg(kind, *pts.T.tolist(), radius=2.0)
+
+
+class TestRepeatedPoints:
+    """Plots whose points repeat: each distinct point is formatted once, and
+    the bytes must still be the scalar reference's."""
+
+    @pytest.mark.parametrize("kind", ["scatter", "line"])
+    def test_special_coordinates_same_bytes_as_reference(self, kind):
+        rng = np.random.default_rng(3)
+        pool = [(x, y) for x in SPECIAL_FLOATS[:6] for y in (0.5, -0.0, NEG_NAN)]
+        xs, ys = map(list, zip(*repeating(pool, len(pool) * 5, rng)))
+        assert render(kind, xs, ys) == reference_svg(kind, xs, ys)
+        assert render(kind, np.array(xs), np.array(ys)) == reference_svg(kind, xs, ys)
+
+    @pytest.mark.parametrize("kind", ["scatter", "line"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "one-past"])
+    def test_distinct_share_at_and_past_the_threshold(self, kind, extra):
+        # 12 distinct points in 48, then a 13th: a coordinate repeats more
+        # often than the points do, so the points decide.
+        pool = [(x, y) for x in (0.1, 0.2, 0.3) for y in (0.4, 0.5, 0.6, 0.7)]
+        pool += [(0.1, 0.8)] * extra
+        xs, ys = map(list, zip(*repeating(pool, 12 * csvio.MIN_REPEATS, np.random.default_rng(4))))
+        ax = svgplot._Axes(np.array(xs), np.array(ys))
+        found = svgplot._distinct_points(ax.px(np.array(xs)), ax.py(np.array(ys)))
+        assert (found is None) == bool(extra)
+        assert render(kind, xs, ys) == reference_svg(kind, xs, ys)
+
+    @pytest.mark.parametrize("kind", ["scatter", "line"])
+    def test_chunk_boundaries(self, kind, monkeypatch):
+        monkeypatch.setattr(svgplot, "CHUNK_POINTS", 7)
+        rng = np.random.default_rng(5)
+        assert render(kind, [], []) == reference_svg(kind, [], [])
+        for n in (4, 7, 14, 49, 50):  # part of a chunk, whole chunks, a remainder
+            pool = [(0.25 * i, -0.5 * i) for i in range(max(1, n // 8))]
+            xs, ys = map(list, zip(*repeating(pool, n, rng)))
+            assert svgplot._distinct_points(*(np.array(v) for v in (xs, ys))) is not None
+            assert render(kind, xs, ys) == reference_svg(kind, xs, ys)
+
+    @given(
+        pool=st.lists(st.tuples(svg_coords, svg_coords), min_size=1, max_size=6),
+        repeats=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repeating_points_same_bytes_as_reference(self, pool, repeats, seed):
+        xs, ys = map(list, zip(*repeating(pool, len(pool) * repeats, np.random.default_rng(seed))))
+        for kind in ("scatter", "line"):
+            assert render(kind, xs, ys) == reference_svg(kind, xs, ys)
+
+
+class TestSpan:
+    """_span against Python's min and max over the finite values, sign of
+    zero included."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0],
+            [-0.0, 0.0],
+            [-0.0, 0.0, -0.0, 0.0] * 40,  # long enough for vectorized reductions
+            [0.0, 1.0, -0.0, -1.0, -0.0],
+            [math.nan, math.nan],
+            [math.nan, math.inf, -math.inf],
+            [],
+            [0.75],
+            [-0.0],
+            [5e-324],
+        ],
+    )
+    def test_same_as_python_min_and_max(self, values):
+        finite = [v for v in values if math.isfinite(v)]
+        expected = (min(finite, default=0.0), max(finite, default=1.0))
+        got = svgplot._span(np.array(values, dtype=float))
+        assert [(v, math.copysign(1.0, v)) for v in got] == [
+            (v, math.copysign(1.0, v)) for v in expected
+        ]
