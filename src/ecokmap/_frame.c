@@ -4,293 +4,193 @@
  * with -ffp-contract=off (no fused multiply-add) and without -ffast-math
  * its results are bitwise those of the Python loop.
  *
- * point_loop runs k points (lanes) in lockstep.  One step of one point is
- * a chain of square roots and divisions that the core must wait on; the
- * lanes' chains are independent, so they are run side by side.  There
- * are two loops, with one result:
+ * point_loop runs k points (lanes) in lockstep, in blocks of up to 4.  One
+ * step of one point is a chain of square roots and divisions that the core
+ * must wait on; the lanes' chains are independent, so they run side by
+ * side.  The block loop is written once, in plain C: each step is three
+ * passes over the block's lanes (push, orthonormalize, map step), a short
+ * stretch of every lane's chain per pass, so neighbouring lanes' square
+ * roots and divisions sit together in program order.  A branch of _py_loop
+ * is a ?: select, so GCC vectorizes each pass: on AVX2 one vsqrtpd or
+ * vdivpd serves all four lanes.  Two build flags let it and change no
+ * value: -fno-math-errno (sqrt sets no errno, so needs no call for a
+ * negative operand) and -fno-trapping-math (a select may compute both its
+ * arms, since no floating-point exception is observed).
  *
- * - point_loop_scalar walks the lanes three times per step (push,
- *   orthonormalize, map step), a short stretch of every lane's chain per
- *   pass.  Neighbouring lanes' square roots and divisions then sit close
- *   together in program order and overlap, even when a second hardware
- *   thread halves the core's out-of-order window.
- * - vector_block holds up to 4 lanes as one AVX2 vector per quantity
- *   (GCC vector types: <immintrin.h> alone would add about 0.3 s to the
- *   one-time build), so one vsqrtpd or vdivpd serves all four.  Each lane's
- *   operations stay those of the scalar loop, in the same order; its
- *   branches become masks: a lane that escaped keeps its state and frame
- *   and writes no more rows, and a NaN norm is stored as NAN.  Only this
- *   function and its helpers are built for AVX2 (a target attribute,
- *   never -march), and AVX2 has no fused multiply-add.
- *
- * point_loop runs the vector loop, 4 lanes at a time, for k >= 2 lanes on
- * a CPU with AVX2 (vector_loop() says whether it does), and the scalar
- * loop otherwise: at k = 1 the vector form is the slower one.  Each lane
- * is bitwise a separate k = 1 call on either loop. */
+ * The block loop is compiled three ways, its lane width a constant each
+ * time: point_loop_scalar (4 lanes, baseline ISA), avx2_blocks (4 lanes, a
+ * target("avx2") attribute, never -march; AVX2 has no fused multiply-add)
+ * and one_lane.  point_loop runs a one-lane call on one_lane, k >= 2 lanes
+ * on avx2_blocks on a CPU with AVX2 (vector_loop() says whether it does)
+ * and on point_loop_scalar otherwise.  Each lane is bitwise a separate
+ * k = 1 call on any of them. */
 #include <math.h>
 
-/* Per-lane state: the map state, the orthonormal frame (q1, q2), and the
- * second pushed vector, carried from push() to orthonormalize(). */
-struct lane {
-    double x, y, q1x, q1y, q2x, q2y, v2x, v2y;
+#define INLINE static inline __attribute__((always_inline))
+
+/* Up to 4 lanes, one slot each: parameters, map state, the orthonormal
+ * frame (q1, q2), the second pushed vector (carried from push to
+ * orthonormalize), the step's two norms, whether the lane is live (1: it
+ * has not escaped) and the step at which it escaped.  A lane that escaped
+ * keeps its last state; its frame and norms are never read again. */
+struct block {
+    double r1[4], r2[4], c1[4], c2[4], c3[4], c4[4];
+    double x[4], y[4], q1x[4], q1y[4], q2x[4], q2y[4], v2x[4], v2y[4], n1[4], n2[4];
+    long long live[4], at[4];
 };
 
-/* One map step of a lane; returns 0, leaving it unchanged, if the new
- * state escapes (either component beyond threshold, or NaN). */
-static inline int step(const double *p, double threshold, struct lane *s)
+/* Map step s of the w lanes: a live lane whose new state escapes (either
+ * component beyond threshold, or NaN) keeps its state and escapes at s.
+ * Returns whether any lane is still live. */
+INLINE int step(int w, struct block *b, double threshold, long long s)
 {
-    double xn = s->x * p[0] * (1.0 - p[2] * s->x - p[3] * s->y);
-    double yn = s->y * p[1] * (1.0 - p[4] * s->x - p[5] * s->y);
-    if (!(fabs(xn) <= threshold && fabs(yn) <= threshold))
-        return 0;
-    s->x = xn;
-    s->y = yn;
-    return 1;
+    long long any = 0;
+    for (int l = 0; l < w; l++) {
+        double x = b->x[l], y = b->y[l];
+        double xn = x * b->r1[l] * (1.0 - b->c1[l] * x - b->c2[l] * y);
+        double yn = y * b->r2[l] * (1.0 - b->c3[l] * x - b->c4[l] * y);
+        long long stay = b->live[l] & (fabs(xn) <= threshold) & (fabs(yn) <= threshold);
+        b->at[l] = b->live[l] != stay ? s : b->at[l];
+        b->x[l] = stay ? xn : x;
+        b->y[l] = stay ? yn : y;
+        b->live[l] = stay;
+        any |= stay;
+    }
+    return any != 0;
 }
 
-/* Push the lane's frame through the Jacobian at its state, normalize the
- * first vector and store its norm. */
-static inline void push(const double *p, struct lane *s, double *norm1)
+/* Push the frame through the Jacobian at the state, normalize the first
+ * vector and keep its norm (one NaN for any NaN: see _py_loop).  With skip
+ * set, lanes that escaped are left out: worth it where each lane costs its
+ * own instructions, while a vector computes every slot at once. */
+INLINE void push(int w, int skip, struct block *b)
 {
-    const double r1 = p[0], r2 = p[1], c1 = p[2], c2 = p[3], c3 = p[4], c4 = p[5];
-    const double x = s->x, y = s->y;
-    double j11 = r1 * (1.0 - 2.0 * c1 * x - c2 * y);
-    double j12 = -r1 * c2 * x;
-    double j21 = -r2 * c3 * y;
-    double j22 = r2 * (1.0 - c3 * x - 2.0 * c4 * y);
+    for (int l = 0; l < w; l++) {
+        if (skip && !b->live[l])
+            continue;
+        const double r1 = b->r1[l], r2 = b->r2[l], c1 = b->c1[l], c2 = b->c2[l];
+        const double c3 = b->c3[l], c4 = b->c4[l], x = b->x[l], y = b->y[l];
+        double j11 = r1 * (1.0 - 2.0 * c1 * x - c2 * y);
+        double j12 = -r1 * c2 * x;
+        double j21 = -r2 * c3 * y;
+        double j22 = r2 * (1.0 - c3 * x - 2.0 * c4 * y);
 
-    double v1x = j11 * s->q1x + j12 * s->q1y;
-    double v1y = j21 * s->q1x + j22 * s->q1y;
-    s->v2x = j11 * s->q2x + j12 * s->q2y;
-    s->v2y = j21 * s->q2x + j22 * s->q2y;
+        double v1x = j11 * b->q1x[l] + j12 * b->q1y[l];
+        double v1y = j21 * b->q1x[l] + j22 * b->q1y[l];
+        b->v2x[l] = j11 * b->q2x[l] + j12 * b->q2y[l];
+        b->v2y[l] = j21 * b->q2x[l] + j22 * b->q2y[l];
 
-    double n1 = sqrt(v1x * v1x + v1y * v1y);
-    if (n1 > 0.0) {
-        s->q1x = v1x / n1;
-        s->q1y = v1y / n1;
-    } else if (n1 != 0.0) {
-        n1 = NAN; /* see _py_loop: one NaN, whatever the operand order */
+        double n1 = sqrt(v1x * v1x + v1y * v1y);
+        b->q1x[l] = n1 > 0.0 ? v1x / n1 : b->q1x[l];
+        b->q1y[l] = n1 > 0.0 ? v1y / n1 : b->q1y[l];
+        b->n1[l] = n1 == n1 ? n1 : NAN;
     }
-    *norm1 = n1;
 }
 
 /* Gram-Schmidt: the second pushed vector less its part along q1,
- * normalized, and its norm. */
-static inline void orthonormalize(struct lane *s, double *norm2)
+ * normalized (q1 turned a quarter if it vanishes), and its norm. */
+INLINE void orthonormalize(int w, int skip, struct block *b)
 {
-    double proj = s->q1x * s->v2x + s->q1y * s->v2y;
-    double wx = s->v2x - proj * s->q1x;
-    double wy = s->v2y - proj * s->q1y;
-    double n2 = sqrt(wx * wx + wy * wy);
-    if (n2 > 0.0) {
-        s->q2x = wx / n2;
-        s->q2y = wy / n2;
-    } else {
-        if (n2 != 0.0)
-            n2 = NAN;
-        s->q2x = -s->q1y;
-        s->q2y = s->q1x;
+    for (int l = 0; l < w; l++) {
+        if (skip && !b->live[l])
+            continue;
+        double proj = b->q1x[l] * b->v2x[l] + b->q1y[l] * b->v2y[l];
+        double wx = b->v2x[l] - proj * b->q1x[l];
+        double wy = b->v2y[l] - proj * b->q1y[l];
+        double n2 = sqrt(wx * wx + wy * wy);
+        b->q2x[l] = n2 > 0.0 ? wx / n2 : -b->q1y[l];
+        b->q2y[l] = n2 > 0.0 ? wy / n2 : b->q1x[l];
+        b->n2[l] = n2 == n2 ? n2 : NAN;
     }
-    *norm2 = n2;
 }
 
-/* Lane l has parameters params[6l .. 6l+5] and starts from (x0, y0); it
- * writes only its own rows: tail[2 n_record l ..], norm1[n_lyap l ..],
- * norm2[n_lyap l ..], last[2l], last[2l+1] and at_step[l]. */
+/* The point loop of k lanes, w at a time (w and skip are constants once
+ * inlined).  Lane l has parameters params[6l .. 6l+5] and starts from
+ * (x0, y0); it writes only its own rows: tail[2 n_record l ..],
+ * norm1[n_lyap l ..], norm2[n_lyap l ..], last[2l], last[2l+1] and
+ * at_step[l].  The slots of a block past its last lane hold that block's
+ * first lane, never live. */
+INLINE void blocks(int w, int skip, long long k, const double *params, double x0, double y0,
+                   long long n_transient, long long n_record, long long n_lyap,
+                   double threshold, double *tail, double *norm1, double *norm2,
+                   double *last, long long *at_step)
+{
+    long long n_post = n_record > n_lyap ? n_record : n_lyap;
+    for (long long g = 0; g < k; g += w) {
+        int n = k - g < w ? (int)(k - g) : w;
+        struct block b;
+        for (int l = 0; l < w; l++) {
+            const double *p = params + 6 * (g + (l < n ? l : 0));
+            b.r1[l] = p[0], b.r2[l] = p[1], b.c1[l] = p[2];
+            b.c2[l] = p[3], b.c3[l] = p[4], b.c4[l] = p[5];
+            b.x[l] = x0, b.y[l] = y0;
+            b.q1x[l] = 1.0, b.q1y[l] = 0.0, b.q2x[l] = 0.0, b.q2y[l] = 1.0;
+            b.live[l] = l < n, b.at[l] = 0;
+        }
+        int live = 1;
+        for (long long s = 1; s <= n_transient && live; s++)
+            live = step(w, &b, threshold, s);
+        for (long long i = 0; i < n_post && live; i++) {
+            if (i < n_lyap) {
+                push(w, skip, &b);
+                orthonormalize(w, skip, &b);
+                for (int l = 0; l < n; l++) {
+                    if (b.live[l]) {
+                        norm1[(g + l) * n_lyap + i] = b.n1[l];
+                        norm2[(g + l) * n_lyap + i] = b.n2[l];
+                    }
+                }
+            }
+            live = step(w, &b, threshold, n_transient + i + 1);
+            for (int l = 0; l < n && i < n_record; l++) {
+                if (b.live[l]) {
+                    tail[2 * ((g + l) * n_record + i)] = b.x[l];
+                    tail[2 * ((g + l) * n_record + i) + 1] = b.y[l];
+                }
+            }
+        }
+        for (int l = 0; l < n; l++) {
+            last[2 * (g + l)] = b.x[l];
+            last[2 * (g + l) + 1] = b.y[l];
+            at_step[g + l] = b.at[l];
+        }
+    }
+}
+
+/* The block loop on the baseline ISA: point_loop's contract on any CPU.
+ * Skipping escaped lanes pays here: GCC leaves these passes scalar. */
 void point_loop_scalar(long long k, const double *params, double x0, double y0,
                        long long n_transient, long long n_record, long long n_lyap,
                        double threshold, double *tail, double *norm1, double *norm2,
                        double *last, long long *at_step)
 {
-    if (k <= 0)
-        return;
-    struct lane lane[k];
-    long long n_post = n_record > n_lyap ? n_record : n_lyap;
-    long long live = k;
+    blocks(4, 1, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
+           last, at_step);
+}
 
-    for (long long l = 0; l < k; l++) {
-        lane[l] = (struct lane){x0, y0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0};
-        at_step[l] = 0;
-    }
-    for (long long n = 1; n <= n_transient && live > 0; n++) {
-        for (long long l = 0; l < k; l++) {
-            if (!at_step[l] && !step(params + 6 * l, threshold, &lane[l])) {
-                at_step[l] = n;
-                live--;
-            }
-        }
-    }
-    for (long long i = 0; i < n_post && live > 0; i++) {
-        if (i < n_lyap) {
-            for (long long l = 0; l < k; l++)
-                if (!at_step[l])
-                    push(params + 6 * l, &lane[l], &norm1[l * n_lyap + i]);
-            for (long long l = 0; l < k; l++)
-                if (!at_step[l])
-                    orthonormalize(&lane[l], &norm2[l * n_lyap + i]);
-        }
-        for (long long l = 0; l < k; l++) {
-            if (at_step[l])
-                continue;
-            if (!step(params + 6 * l, threshold, &lane[l])) {
-                at_step[l] = n_transient + i + 1;
-                live--;
-            } else if (i < n_record) {
-                tail[2 * (l * n_record + i)] = lane[l].x;
-                tail[2 * (l * n_record + i) + 1] = lane[l].y;
-            }
-        }
-    }
-    for (long long l = 0; l < k; l++) {
-        last[2 * l] = lane[l].x;
-        last[2 * l + 1] = lane[l].y;
-    }
+/* One lane: the block loop with no other lane to wait for or compute. */
+static void one_lane(const double *params, double x0, double y0, long long n_transient,
+                     long long n_record, long long n_lyap, double threshold, double *tail,
+                     double *norm1, double *norm2, double *last, long long *at_step)
+{
+    blocks(1, 0, 1, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
+           last, at_step);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-#define AVX2 __attribute__((target("avx2")))
-
-typedef double v4d __attribute__((vector_size(32)));
-typedef long long v4i __attribute__((vector_size(32)));
-
-/* Four lanes' parameters, map states and frames, one vector each. */
-struct block {
-    v4d r1, r2, c1, c2, c3, c4, x, y, q1x, q1y, q2x, q2y;
-};
-
-/* Lane by lane, a where mask m is set (all ones), else b. */
-static inline AVX2 v4d pick(v4i m, v4d a, v4d b)
+/* The block loop built for AVX2: one vector per quantity of a block. */
+static __attribute__((target("avx2"))) void
+avx2_blocks(long long k, const double *params, double x0, double y0, long long n_transient,
+            long long n_record, long long n_lyap, double threshold, double *tail,
+            double *norm1, double *norm2, double *last, long long *at_step)
 {
-    return (v4d)(((v4i)a & m) | ((v4i)b & ~m));
-}
-
-static inline AVX2 v4d splat(double a)
-{
-    return (v4d){a, a, a, a};
-}
-
-/* Bit l set for each lane l of mask m. */
-static inline AVX2 int lanes_of(v4i m)
-{
-    return __builtin_ia32_movmskpd256((v4d)m);
-}
-
-static inline AVX2 v4i inside(v4d a, v4d threshold)
-{
-    v4d magnitude = (v4d)((v4i)a & 0x7fffffffffffffffLL); /* fabs */
-    return (v4i)(magnitude <= threshold);
-}
-
-/* at_step[l] = s for each lane l of running (bit l) that is not in now;
- * returns now. */
-static inline int stop(int running, int now, long long s, long long *at_step)
-{
-    for (int gone = running & ~now, l = 0; gone; gone >>= 1, l++)
-        if (gone & 1)
-            at_step[l] = s;
-    return now;
-}
-
-/* step() of the lanes of mask live; returns the mask of those whose new
- * state did not escape, and only they take it. */
-static inline AVX2 v4i vstep(struct block *b, v4d threshold, v4i live)
-{
-    v4d xn = b->x * b->r1 * (1.0 - b->c1 * b->x - b->c2 * b->y);
-    v4d yn = b->y * b->r2 * (1.0 - b->c3 * b->x - b->c4 * b->y);
-    v4i stay = live & inside(xn, threshold) & inside(yn, threshold);
-    b->x = pick(stay, xn, b->x);
-    b->y = pick(stay, yn, b->y);
-    return stay;
-}
-
-/* push() then orthonormalize() of the lanes of mask live, whose norms go
- * to *norm1 and *norm2; the other lanes keep their frames. */
-static inline AVX2 void vframe(struct block *b, v4i live, v4d *norm1, v4d *norm2)
-{
-    const v4d x = b->x, y = b->y;
-    v4d j11 = b->r1 * (1.0 - 2.0 * b->c1 * x - b->c2 * y);
-    v4d j12 = -b->r1 * b->c2 * x;
-    v4d j21 = -b->r2 * b->c3 * y;
-    v4d j22 = b->r2 * (1.0 - b->c3 * x - 2.0 * b->c4 * y);
-
-    v4d v1x = j11 * b->q1x + j12 * b->q1y;
-    v4d v1y = j21 * b->q1x + j22 * b->q1y;
-    v4d v2x = j11 * b->q2x + j12 * b->q2y;
-    v4d v2y = j21 * b->q2x + j22 * b->q2y;
-
-    v4d n1 = __builtin_ia32_sqrtpd256(v1x * v1x + v1y * v1y);
-    v4i grow = live & (v4i)(n1 > 0.0);
-    b->q1x = pick(grow, v1x / n1, b->q1x);
-    b->q1y = pick(grow, v1y / n1, b->q1y);
-    *norm1 = pick((v4i)(n1 != n1), splat(NAN), n1);
-
-    v4d proj = b->q1x * v2x + b->q1y * v2y;
-    v4d wx = v2x - proj * b->q1x;
-    v4d wy = v2y - proj * b->q1y;
-    v4d n2 = __builtin_ia32_sqrtpd256(wx * wx + wy * wy);
-    grow = (v4i)(n2 > 0.0);
-    b->q2x = pick(live, pick(grow, wx / n2, -b->q1y), b->q2x);
-    b->q2y = pick(live, pick(grow, wy / n2, b->q1x), b->q2y);
-    *norm2 = pick((v4i)(n2 != n2), splat(NAN), n2);
-}
-
-/* point_loop_scalar's contract for n <= 4 lanes, as one vector.  Slots
- * past n hold lane 0's parameters and are never live. */
-static AVX2 void vector_block(int n, const double *params, double x0, double y0,
-                              long long n_transient, long long n_record, long long n_lyap,
-                              double threshold, double *tail, double *norm1, double *norm2,
-                              double *last, long long *at_step)
-{
-    v4d p[6];
-    v4i live = {0, 0, 0, 0};
-    for (int l = 0; l < 4; l++) {
-        for (int j = 0; j < 6; j++)
-            p[j][l] = params[6 * (l < n ? l : 0) + j];
-        live[l] = l < n ? -1 : 0;
-    }
-    for (int l = 0; l < n; l++)
-        at_step[l] = 0;
-    struct block b = {p[0], p[1], p[2], p[3], p[4], p[5], splat(x0), splat(y0),
-                      splat(1.0), splat(0.0), splat(0.0), splat(1.0)};
-    const v4d thr = splat(threshold);
-    long long n_post = n_record > n_lyap ? n_record : n_lyap;
-    int running = lanes_of(live);
-
-    for (long long s = 1; s <= n_transient && running; s++) {
-        live = vstep(&b, thr, live);
-        running = stop(running, lanes_of(live), s, at_step);
-    }
-    for (long long i = 0; i < n_post && running; i++) {
-        if (i < n_lyap) {
-            v4d n1, n2;
-            vframe(&b, live, &n1, &n2);
-            for (int l = 0; l < n; l++) {
-                if (running >> l & 1) {
-                    norm1[l * n_lyap + i] = n1[l];
-                    norm2[l * n_lyap + i] = n2[l];
-                }
-            }
-        }
-        live = vstep(&b, thr, live);
-        running = stop(running, lanes_of(live), n_transient + i + 1, at_step);
-        if (i < n_record) {
-            for (int l = 0; l < n; l++) {
-                if (running >> l & 1) {
-                    tail[2 * (l * n_record + i)] = b.x[l];
-                    tail[2 * (l * n_record + i) + 1] = b.y[l];
-                }
-            }
-        }
-    }
-    for (int l = 0; l < n; l++) {
-        last[2 * l] = b.x[l];
-        last[2 * l + 1] = b.y[l];
-    }
+    blocks(4, 0, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
+           last, at_step);
 }
 #endif
 
-/* 1 if point_loop runs k >= 2 lanes on the vector loop, 0 if on the
- * scalar one. */
+/* 1 if point_loop runs k >= 2 lanes on the AVX2 loop, 0 if on
+ * point_loop_scalar. */
 int vector_loop(void)
 {
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -301,17 +201,20 @@ int vector_loop(void)
 #endif
 }
 
-/* point_loop_scalar's contract, on the loop that is faster for k. */
+/* point_loop_scalar's contract, on the loop that is fastest for k. */
 void point_loop(long long k, const double *params, double x0, double y0,
                 long long n_transient, long long n_record, long long n_lyap, double threshold,
                 double *tail, double *norm1, double *norm2, double *last, long long *at_step)
 {
+    if (k == 1) {
+        one_lane(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
+                 last, at_step);
+        return;
+    }
 #if defined(__x86_64__) && defined(__GNUC__)
-    if (k >= 2 && vector_loop()) {
-        for (long long g = 0; g < k; g += 4)
-            vector_block(k - g < 4 ? (int)(k - g) : 4, params + 6 * g, x0, y0, n_transient,
-                         n_record, n_lyap, threshold, tail + 2 * n_record * g,
-                         norm1 + n_lyap * g, norm2 + n_lyap * g, last + 2 * g, at_step + g);
+    if (vector_loop()) {
+        avx2_blocks(k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1,
+                    norm2, last, at_step);
         return;
     }
 #endif

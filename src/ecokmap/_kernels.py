@@ -20,14 +20,15 @@ rounded, like C's sqrt), once per lane.  Both use only + - * /, sqrt and
 fabs in the same order, so they give the same bits; tests/test_kernels.py
 pins this.  The compiled loop advances its lanes in lockstep, so the core
 overlaps their chains of square roots and divisions; each lane is
-bitwise a one-lane call.  _frame.c holds it twice: point_loop_scalar,
-and an AVX2 loop that keeps up to four lanes in one vector per quantity,
-so one vector square root or division serves all four.  point_loop runs
-a call of k >= 2 lanes on the AVX2 loop where the CPU has AVX2 (chosen
-at run time, so _FLAGS and the cache key name no CPU), and on the scalar
-loop otherwise; one-lane calls, where the vector form measured slower,
-always run the scalar loop.  lane_loop() says which loop runs k >= 2
-lanes; backend() says only "c" or "python".
+bitwise a one-lane call.  _frame.c writes it once, over blocks of up to
+four lanes, and compiles it three ways: point_loop_scalar (the baseline
+ISA), an AVX2 instance, where GCC turns each pass over a block into one
+vector operation per quantity, so one vector square root or division
+serves all four lanes, and a one-lane instance.  point_loop runs a
+one-lane call on the one-lane instance, and a call of k >= 2 lanes on
+the AVX2 instance where the CPU has AVX2 (chosen at run time, so _FLAGS
+and the cache key name no CPU), else on point_loop_scalar.  lane_loop()
+says which loop runs k >= 2 lanes; backend() says only "c" or "python".
 
 The logs of the norms (LOG_ZERO for a norm that is not positive) are
 taken afterwards with np.log on either backend, so math.log against
@@ -43,8 +44,8 @@ sysconfig's CC (or cc) into the package's __pycache__ (a private
 temporary directory if that is not writable), under a name keyed by the
 SHA-256 of the source, the flags and the machine, and loads it with
 ctypes.  Every successful load, of a new build or a cached one, deletes
-the other _frame-*.so builds beside it.  The build takes about 0.2 s
-with gcc 12, once per source.  If there is no compiler,
+the other _frame-*.so builds beside it.  The build takes about 0.35 to
+0.55 s with gcc 12, once per source.  If there is no compiler,
 or the build or the load fails, the Python backend runs instead: slower,
 same results.  backend() says which.
 
@@ -84,7 +85,13 @@ _SOURCE = Path(__file__).with_name("_frame.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 # Strict IEEE double arithmetic: no fused multiply-add, and never
 # -ffast-math, -Ofast or -funsafe-math-optimizations, which reorder it.
-_FLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# -fno-math-errno (sqrt sets no errno) and -fno-trapping-math (no
+# floating-point exception is observed) change no value; without them GCC
+# leaves _frame.c's square roots and selects scalar.
+_FLAGS = (
+    "-std=c99", "-O2", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math",
+    "-shared", "-fPIC",
+)
 _COMPILE_TIMEOUT_S = 120
 # One lane's tail and norm buffers for a window of no steps.
 _NO_WINDOW, _NO_NORMS = np.empty((1, 0, 2)), np.empty((1, 0))
@@ -358,9 +365,9 @@ def backend() -> str:
 
 def lane_loop() -> str:
     """Which loop runs a point_lanes call of k >= 2 lanes: "avx2" (the
-    compiled vector loop), "scalar" (the compiled loop on a CPU without
-    AVX2) or "python".  A one-lane call runs the scalar loop on either
-    CPU.  Loads the compiled loop, as backend() does."""
+    compiled loop's AVX2 instance), "scalar" (point_loop_scalar, on a CPU
+    without AVX2) or "python".  A one-lane call runs the one-lane
+    instance on either CPU.  Loads the compiled loop, as backend() does."""
     lib = _loop().lib
     if lib is None:
         return "python"

@@ -2,7 +2,9 @@
 
 JSON is the pinned notation: stdlib parsing with line/column positions on
 syntax errors, and float serialization via repr gives exact round-trips.
-Unknown keys are rejected so typos cannot silently fall back to defaults.
+Unknown keys are rejected so typos cannot silently fall back to defaults,
+and a key repeated within one object is rejected so that neither of its
+values is silently dropped.
 r2 is the one required key — it is the control parameter of every
 experiment and deliberately has no default.
 
@@ -116,6 +118,34 @@ _SECTIONS = {"budgets": Budgets, "sweep": SweepBlock, "grid": GridBlock}
 _KINDS = {"int": "an integer", "float": "a number", "str": "a string"}
 
 
+class _Repeats(dict):
+    """A JSON object in which the key `repeated` appears more than once; it
+    holds the last value of each key, as json.loads would."""
+
+    repeated: str
+
+
+def _object(pairs):
+    """json.loads' object_pairs_hook: the object as a dict, a _Repeats if a
+    key appears in it twice."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            break
+        seen.add(key)
+    obj = _Repeats(obj)
+    obj.repeated = key
+    return obj
+
+
+def _refuse_repeats(prefix: str, data) -> None:
+    if isinstance(data, _Repeats):
+        raise ConfigError(f"key '{prefix}{data.repeated}' appears more than once")
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -154,6 +184,7 @@ def _parse_block(section: str, cls, data, defaults: dict):
         raise ConfigError(f"section '{section}' must be an object")
     kinds = {f.name: f.type for f in fields(cls)}
     prefix = f"{section}." if section else ""
+    _refuse_repeats(prefix, data)
     values = dict(defaults)
     for key, raw in data.items():
         qual = prefix + key
@@ -174,7 +205,7 @@ def parse_config(text: str) -> RunConfig:
     errors name the offending key and the violated constraint.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except ValueError as e:
@@ -182,6 +213,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"parse error: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("top level of the config must be an object")
+    _refuse_repeats("", doc)
     if "r2" not in doc:
         raise ConfigError("key 'r2' is required: it is the control parameter and has no default")
 

@@ -225,6 +225,17 @@ class TestExitCodes:
         assert not re.search(r"\d{19}", err)  # a huge integer's digits are left out
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", ["simulate", "fixed-points", "bifurcate", "lyapunov", "chaos-grid", "phase"]
+    )
+    def test_repeated_key_is_2_under_every_command(self, tmp_path, capsys, command):
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        path.write_text('{"r2": 3.9, "sweep": {"lo": 3.0}, "sweep": {"points": 5}}')
+        assert run(command, "--config", str(path), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "ecokmap: invalid configuration: key 'sweep' appears more than once\n"
+        assert not out.exists()
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert run("simulate", "--config", str(tmp_path / "nope.json")) == 3
 

@@ -113,6 +113,31 @@ class TestValidation:
             parse_config('{"r2": 3.0,\n  "c1": }')
 
 
+# Documents with a key repeated within one object, each with the key named;
+# json.loads alone would keep the last value and drop the others.
+REPEATED = [
+    ('{"r2": 3.9, "c2": 0.1, "c2": 0.6, "sweep": {"lo": 3.0}, "sweep": {"points": 5}}', "c2"),
+    ('{"r2": 3.9, "r2": 3.5}', "r2"),
+    ('{"r2": 3.9, "sweep": {"lo": 3.0}, "sweep": {"points": 5}}', "sweep"),
+    ('{"r2": 3.9, "sweep": {"lo": 3.0, "hi": 4.0, "lo": 2.9}}', "sweep.lo"),
+    ('{"r2": 3.9, "initial": {"x": 0.1, "x": 0.1}}', "initial.x"),
+    ('{"r2": 3.9, "budgets": {"record": 5, "record": 6}}', "budgets.record"),
+    ('{"r2": 3.9, "grid": {"r2_values": [3.9], "r2_values": [3.8]}}', "grid.r2_values"),
+]
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("text, key", REPEATED, ids=[key for _, key in REPEATED])
+    def test_repeated_key_is_named(self, text, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"key '{key}' appears more than once"
+
+    def test_same_key_in_different_blocks_is_not_repeated(self):
+        cfg = parse_config('{"r2": 3.9, "sweep": {"lyap": 500}, "grid": {"lyap": 600}}')
+        assert (cfg.sweep.lyap, cfg.grid.lyap) == (500, 600)
+
+
 # The smallest count refused: the compiled loop's step counters are int64.
 CAP = 2**63
 

@@ -4,9 +4,10 @@ The compiled lanes, at every lane count k from 1, run against k separate
 _py_loop calls on the same arguments; every output (escape step, last
 finite state, tail rows, norm pairs) must agree bit for bit, and neither
 may write outside its windows.  Each such class runs on both C entries:
-as written on point_loop, whose calls of k >= 2 lanes take the AVX2 loop
-on a CPU that has it, and through OnScalarLoop on point_loop_scalar, the
-loop of one-lane calls and of CPUs without AVX2.  The loader tests point _kernels at an
+as written on point_loop, whose one-lane calls take the one-lane instance
+of the loop and whose calls of k >= 2 lanes take the AVX2 instance on a
+CPU that has it, and through OnScalarLoop on point_loop_scalar, the
+instance of CPUs without AVX2.  The loader tests point _kernels at an
 empty cache in a temporary directory and resolve the backend anew, so
 they never touch the package's own cache.
 """
@@ -487,6 +488,19 @@ class TestBackend:
             assert loop == ("avx2" if "avx2" in flags else "scalar")
         monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
         assert _kernels.lane_loop() == "python"
+
+    def test_build_flags_change_no_value(self):
+        # The flags that let GCC vectorize (-fno-math-errno,
+        # -fno-trapping-math) are members of -ffast-math; these others
+        # would let it reorder, contract or assume away IEEE arithmetic,
+        # and -march would tie a shared cache to one CPU.
+        value_changing = {
+            "-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
+            "-freciprocal-math", "-ffinite-math-only", "-fno-signed-zeros", "-ffp-contract=fast",
+        }
+        assert "-ffp-contract=off" in _kernels._FLAGS
+        assert not value_changing & set(_kernels._FLAGS)
+        assert not [f for f in _kernels._FLAGS if f.startswith("-march=")]
 
 
 def results():

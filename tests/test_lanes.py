@@ -5,9 +5,9 @@ the orbit record (an orbit that escapes during its transient keeps its
 last finite state as a single marker row) and `lyapunov_spectrum` for
 lambda1, with EscapedTooEarly mapped to NaN.  The engine, which runs the
 fused point loop once per point, must reproduce its lambda1, tail and
-outcome bit for bit, on both compiled loops (point_loop, whose blocks
-take the AVX2 loop on a CPU that has it, and point_loop_scalar) and on
-the Python one.
+outcome bit for bit, on both compiled entries (point_loop, whose blocks
+take the AVX2 instance of the loop on a CPU that has it, and
+point_loop_scalar) and on the Python loop.
 
 Escape steps are placed with the engineered family of tests/test_orbit.py:
 from (0.5, 1e-3), ModelParams(2, r2, 1, 0, 4, 0) keeps x = 0.5 exactly and
