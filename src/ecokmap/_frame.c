@@ -222,78 +222,35 @@ void point_loop(long long k, const double *params, double x0, double y0,
                       norm2, last, at_step);
 }
 
-/* acc[j] += rows[j][i] for i in [from, to), j = 0 .. 7: eight independent
- * chains of adds, each strictly left to right, held in registers. */
-static void add8(const double *const *rows, long long from, long long to, double *acc)
+/* out[r] = the strict left-to-right sum of the first n >= 1 values of row
+ * r, v[r * stride .. + n - 1], starting from its first value (bitwise the
+ * last element of np.cumsum).  Rows go in groups of 8, whose chains of
+ * adds run interleaved, for the same reason as the lanes above, each in
+ * its own register (named, since GCC keeps an indexed array of sums in
+ * memory); the spare slots of a last, partial group re-read that group's
+ * first row. */
+void row_sums(long long n_rows, long long stride, long long n, const double *v, double *out)
 {
-    const double *p0 = rows[0], *p1 = rows[1], *p2 = rows[2], *p3 = rows[3];
-    const double *p4 = rows[4], *p5 = rows[5], *p6 = rows[6], *p7 = rows[7];
-    double a0 = acc[0], a1 = acc[1], a2 = acc[2], a3 = acc[3];
-    double a4 = acc[4], a5 = acc[5], a6 = acc[6], a7 = acc[7];
-    for (long long i = from; i < to; i++) {
-        a0 += p0[i];
-        a1 += p1[i];
-        a2 += p2[i];
-        a3 += p3[i];
-        a4 += p4[i];
-        a5 += p5[i];
-        a6 += p6[i];
-        a7 += p7[i];
-    }
-    acc[0] = a0, acc[1] = a1, acc[2] = a2, acc[3] = a3;
-    acc[4] = a4, acc[5] = a5, acc[6] = a6, acc[7] = a7;
-}
-
-/* out[r] = the strict left-to-right sum of v[r * stride .. + len[r] - 1],
- * starting from its first value (bitwise the last element of np.cumsum),
- * 0.0 for an empty row.  Non-empty rows go in groups of up to 8, whose
- * chains of adds run interleaved, for the same reason as the lanes
- * above, each in its own register.  A group runs in stretches up to its
- * next row end, so a group of rows of one length is one stretch; slots
- * of rows that have ended re-read a running row into a spare sum. */
-void row_sums(long long n_rows, long long stride, const long long *len, const double *v,
-              double *out)
-{
-    long long r = 0;
-    while (r < n_rows) {
-        long long row[8];
-        const double *at[8];
-        double acc[8];
-        int run = 0;
-        for (; r < n_rows && run < 8; r++) {
-            if (len[r] > 0) {
-                row[run] = r;
-                at[run] = v + r * stride;
-                acc[run] = at[run][0];
-                run++;
-            } else {
-                out[r] = 0.0;
-            }
+    for (long long g = 0; g < n_rows; g += 8) {
+        const double *p[8];
+        for (int j = 0; j < 8; j++)
+            p[j] = v + (g + j < n_rows ? g + j : g) * stride;
+        const double *p0 = p[0], *p1 = p[1], *p2 = p[2], *p3 = p[3];
+        const double *p4 = p[4], *p5 = p[5], *p6 = p[6], *p7 = p[7];
+        double a0 = p0[0], a1 = p1[0], a2 = p2[0], a3 = p3[0];
+        double a4 = p4[0], a5 = p5[0], a6 = p6[0], a7 = p7[0];
+        for (long long i = 1; i < n; i++) {
+            a0 += p0[i];
+            a1 += p1[i];
+            a2 += p2[i];
+            a3 += p3[i];
+            a4 += p4[i];
+            a5 += p5[i];
+            a6 += p6[i];
+            a7 += p7[i];
         }
-        for (long long from = 1; run > 0;) {
-            for (int j = 0; j < run;) {
-                if (len[row[j]] > from) {
-                    j++;
-                    continue;
-                }
-                out[row[j]] = acc[j];
-                run--;
-                row[j] = row[run];
-                at[j] = at[run];
-                acc[j] = acc[run];
-            }
-            if (run == 0)
-                break;
-            long long to = len[row[0]];
-            for (int j = 1; j < run; j++)
-                if (len[row[j]] < to)
-                    to = len[row[j]];
-            for (int j = run; j < 8; j++) {
-                at[j] = at[0];
-                acc[j] = 0.0;
-            }
-            add8(at, from, to, acc);
-            from = to;
-        }
+        const double a[8] = {a0, a1, a2, a3, a4, a5, a6, a7};
+        for (int j = 0; j < 8 && g + j < n_rows; j++)
+            out[g + j] = a[j];
     }
 }

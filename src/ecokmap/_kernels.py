@@ -11,8 +11,8 @@ once: orbit_kernel is a one-lane call with n_lyap = 0, lyapunov_kernel
 one with n_record = 0, and sweep._evaluate runs LANES points per call.
 It refuses a budget below 0 and a run of over 2**63 - 1 steps, which the
 C loop's step counters would wrap.  Its buffer checks, and row_sums'
-row-length check, sit above the backends, so both refuse the same
-inputs and neither checks again.
+check of its one row length, sit above the backends, so both refuse the
+same inputs and neither checks again.
 
 A backend is one pair (lanes, row_sums): the compiled one wraps _frame.c;
 _PYTHON runs _py_loop, on plain Python floats (math.sqrt is correctly
@@ -33,11 +33,14 @@ says which loop runs k >= 2 lanes; backend() says only "c" or "python".
 The logs of the norms (LOG_ZERO for a norm that is not positive) are
 taken afterwards with np.log on either backend, so math.log against
 np.log never arises.  lyapunov_kernel keeps the running sums of the logs
-(np.cumsum, a sequential add); a sweep point needs only the last one,
-which row_sums adds up strictly left to right, bitwise the last element
-of np.cumsum (which the Python backend takes); the compiled one keeps
-up to eight rows' sums in registers.  Where every norm is positive, as
-on a chaotic point, the logs take one np.log pass.
+(np.cumsum, a sequential add); a sweep point needs only the last one.
+lane_lambda1 takes a block's last sums in one row_sums call over the
+block's longest window, each shorter lane padded with 0.0 logs, which
+change no sum.  row_sums adds the first n values of every row strictly
+left to right, bitwise the last element of np.cumsum (which the Python
+backend takes); the compiled one keeps eight rows' sums in registers.
+Where every norm is positive, as on a chaotic point, the logs take one
+np.log pass.
 
 Build: the first kernel call, never the import, compiles _frame.c with
 sysconfig's CC (or cc) into the package's __pycache__ (a private
@@ -114,9 +117,9 @@ def _log_norms(norms):
     np.copyto(norms, LOG_ZERO, where=collapsed)
 
 
-def _py_row_sums(rows, lengths):
+def _py_row_sums(rows, n):
     """row_sums without a compiler: the last np.cumsum element of each row."""
-    return np.array([np.cumsum(rows[r, :n])[-1] if n else 0.0 for r, n in enumerate(lengths)])
+    return np.cumsum(rows[:, :n], axis=1)[:, -1]
 
 
 def _is_buffer(buf, ndim: int, writable: bool = True) -> bool:
@@ -128,17 +131,16 @@ def _is_buffer(buf, ndim: int, writable: bool = True) -> bool:
     )
 
 
-def row_sums(rows, lengths):
-    """Sum of the first lengths[r] values of each row of the 2-D float64
-    array rows, strictly left to right from the first value (0.0 for
-    none): bitwise np.cumsum(rows[r, :lengths[r]])[-1].  Compiled where the
-    point loop is."""
+def row_sums(rows, n):
+    """Sum of the first n values of each row of the 2-D float64 array
+    rows, strictly left to right from the first value: bitwise
+    np.cumsum(rows[:, :n], axis=1)[:, -1].  Compiled where the point loop
+    is."""
     if not _is_buffer(rows, 2, writable=False):
         raise ValueError("need rows as a 2-D C-contiguous float64 array")
-    n_rows, stride = rows.shape
-    if len(lengths) != n_rows or any(not 0 <= n <= stride for n in lengths):
-        raise ValueError(f"need {n_rows} row lengths in [0, {stride}], got {lengths}")
-    return _loop()[1](rows, lengths)
+    if not 1 <= n <= rows.shape[1]:
+        raise ValueError(f"need a row length in [1, {rows.shape[1]}], got {n}")
+    return _loop()[1](rows, n)
 
 
 def _ordered(a, b, floor):
@@ -231,7 +233,7 @@ def _c_loop(lib, entry="point_loop"):
     fn, sums = getattr(lib, entry), lib.row_sums
     fn.argtypes = (ll, ptr, dbl, dbl, ll, ll, ll, dbl, ptr, ptr, ptr, ptr, ptr)
     fn.restype = None
-    sums.argtypes = (ll, ll, ptr, ptr, ptr)
+    sums.argtypes = (ll, ll, ll, ptr, ptr)
     sums.restype = None
     lib.vector_loop.argtypes = ()
     lib.vector_loop.restype = ctypes.c_int
@@ -246,10 +248,10 @@ def _c_loop(lib, entry="point_loop"):
         )
         return [(at_step[l], last[2 * l], last[2 * l + 1]) for l in range(k)]
 
-    def row_sums(rows, lengths):
+    def row_sums(rows, n):
         n_rows, stride = rows.shape
         out = np.empty(n_rows)
-        sums(n_rows, stride, (ll * n_rows)(*lengths), rows.ctypes.data, out.ctypes.data)
+        sums(n_rows, stride, n, rows.ctypes.data, out.ctypes.data)
         return out
 
     return _Backend(lanes, row_sums, lib)
@@ -417,21 +419,29 @@ def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, 
 
 def lane_lambda1(norms, n_used, floor):
     """The largest exponent of each lane l from the norms of its first
-    n_used[l] steps, norms[0, l] and norms[1, l], which are overwritten
-    with their logs; NaN where n_used[l] is 0.
+    n_used[l] steps, norms[0, l] and norms[1, l]; NaN where n_used[l] is 0.
 
-    norms is a C-contiguous array of shape (2, >= k, n), k = len(n_used);
-    values past a lane's n_used[l] are never read.  Each value is bitwise
-    the last lambda1 of lyapunov_kernel's series, without the series: the
-    same logs (np.log, one call per lane), the same sequential sums
-    (row_sums) and the same ordering."""
+    norms is a C-contiguous array of shape (2, >= k, n), k = len(n_used),
+    and is overwritten.  With m = max(n_used), each lane's norms over
+    [0, n_used[l]) become their logs and its values over [n_used[l], m),
+    like those of the slots past k, become 0.0, so one row_sums call sums
+    every row over [0, m).  Adding 0.0 changes no sum of logs (a sum is
+    -0.0 only if all its values are, and np.log never gives -0.0).  Each
+    value is bitwise the last lambda1 of lyapunov_kernel's series, without
+    the series: the same logs (np.log, one call per lane), the same
+    sequential sums and the same ordering."""
     k, lanes, width = len(n_used), norms.shape[1], norms.shape[2]
     n = np.array(n_used)
     lam = np.full(k, math.nan)
-    for lane in np.flatnonzero(n):
-        _log_norms(norms[:, lane, : n[lane]])
-    lengths = [*n_used, *[0] * (lanes - k)]
-    sums = row_sums(norms.reshape(2 * lanes, width), lengths + lengths).reshape(2, lanes)[:, :k]
+    m = max(n_used, default=0)
+    if m == 0:
+        return lam.tolist()
+    for lane, used in enumerate([*n_used, *[0] * (lanes - k)]):
+        if used:
+            _log_norms(norms[:, lane, :used])
+        if used < m:
+            norms[:, lane, used:m] = 0.0
+    sums = row_sums(norms.reshape(2 * lanes, width), m).reshape(2, lanes)[:, :k]
     ok = n > 0
     lam[ok] = _ordered(sums[0, ok] / n[ok], sums[1, ok] / n[ok], floor)[0]
     return lam.tolist()

@@ -146,8 +146,11 @@ def write_csv(path, header: list[str], columns) -> None:
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header plus data rows, as strings; callers parse fields themselves."""
+    """Header plus data rows, as strings; callers parse fields themselves.
+    A file without even a header row raises ValueError naming it."""
     with open(path, newline="", encoding="ascii") as f:
         r = csv.reader(f)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV file, no header row")
         return header, [row for row in r]

@@ -19,7 +19,7 @@ from ecokmap.csvio import read_csv, render_csv
 from ecokmap.dynamics import ModelParams, State, jacobian, step
 from ecokmap.equilibria import Classification, Family, fixed_points, residual
 from ecokmap.lyapunov import LAMBDA_FLOOR
-from ecokmap.orbit import Aperiodic, Settled, iterate
+from ecokmap.orbit import MAX_PERIOD, Aperiodic, Settled, iterate
 from ecokmap.svgplot import count_data_elements
 
 REF_BASE = ModelParams(3.0, 3.0, 1.8, 0.1, 0.6, 2.5)
@@ -337,6 +337,63 @@ def test_settled_points_carry_their_cycle_exponent(fig1_sweeps, fig2_sweeps):
         "settled-exponent",
         f"{len(errors)} settled sweep points within {eps:g} of their exact cycle exponent, "
         f"median error {np.median([e[0] for e in errors]):.1e}, worst {worst[0]:.1e}",
+    )
+
+
+def settled_labels(points):
+    return [pt.orbit.outcome.period if isinstance(pt.orbit.outcome, Settled) else None for pt in points]
+
+
+def unsettled(res):
+    """Grid values labelled aperiodic whose lambda1 says the orbit is regular."""
+    return [
+        round(float(pt.value), 6)
+        for pt in res.points
+        if pt.orbit.outcome == Aperiodic() and pt.lambda1 < -1e-3
+    ]
+
+
+def test_flip_at_r2_3_on_the_reference_sweeps(fig1_sweeps, fig2_sweeps):
+    # With r1 = r2 = r the interior fixed point has the eigenvalue 2 - r
+    # exactly, for any couplings (tests/test_equilibria.py::TestFlipOracle),
+    # so every reference sweep (r1 = 3) flips from period 1 to period 2 at
+    # r2 = 3 exactly: the coupled twin of criterion 4.  Near the flip a
+    # step contracts by almost 1, so at transient 400 many points have not
+    # settled; at 4 000 every point of r2 in [2.8, 3.1] has, and each
+    # sweep's 1 -> 2 midpoint lies in `band`, just below 3 (measured
+    # 2.9675 to 2.9925 on the 0.005 grid).  The band comes from that
+    # measurement and the exact flip; it is not to be widened.
+    band = (2.96, 3.0)
+    sweeps = {**{(c2, 0.6): res for c2, res in fig1_sweeps.items()},
+              **{(cc, cc): res for cc, res in fig2_sweeps.items()}}
+    midpoints, before, after = {}, {}, {}
+    for couplings, short in sweeps.items():
+        res = ek.bifurcation_sweep(replace(short.spec, n_transient=4000))
+        near = [(v, pt) for v, pt in zip(res.grid, res.points) if v <= 3.1 + 1e-9]
+        assert not [v for v, pt in near if pt.orbit.outcome == Aperiodic()], couplings
+        grid = [v for v, _ in near]
+        midpoints[couplings] = transition(grid, settled_labels(pt for _, pt in near), 1, 2)
+        assert band[0] <= midpoints[couplings] < band[1], (couplings, midpoints[couplings])
+        before[couplings], after[couplings] = len(unsettled(short)), unsettled(res)
+
+    # Report: at transient 400 about one point in ten is labelled aperiodic
+    # although its lambda1 says it is settling; at 4 000 only two remain,
+    # stable cycles longer than MAX_PERIOD (periods 100 and 96).
+    assert list(before.values()) == [51, 30, 26, 14, 16, 15], before
+    left = {c: v for c, v in after.items() if v}
+    assert left == {(0.6, 0.6): [3.85], (0.7, 0.7): [3.935]}, left
+    periods = []
+    for (c2, c3), (r2,) in left.items():
+        p = replace(REF_BASE, c2=c2, c3=c3, r2=r2)
+        outcome = iterate(p, S0, 5000, 4000, max_period=400).outcome
+        assert isinstance(outcome, Settled) and outcome.period > MAX_PERIOD, outcome
+        periods.append(outcome.period)
+    ok(
+        "flip-at-3",
+        f"1 -> 2 midpoints in [{band[0]}, {band[1]}) at transient 4000: "
+        + ", ".join(f"c2,c3={c}: {t:.4f}" for c, t in midpoints.items())
+        + f"; aperiodic with lambda1 < -1e-3: {sum(before.values())} at transient 400, "
+        f"{sum(map(len, left.values()))} at 4000 ({left}, cycles of periods {periods})",
     )
 
 

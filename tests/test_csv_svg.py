@@ -54,6 +54,12 @@ class TestCsv:
         assert path.read_bytes() == b'n,label\n1,"cr\rhere"\n2,ok\n'
         assert read_csv(path) == (["n", "label"], [["1", "cr\rhere"], ["2", "ok"]])
 
+    def test_empty_file_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="empty.csv: empty CSV file"):
+            read_csv(path)
+
     def test_rendering_is_deterministic_with_unix_newlines(self):
         columns = [[1], [2.5]]
         text = render_csv(["n", "v"], columns)

@@ -401,11 +401,11 @@ class TestRowSums:
     def implementations():
         return {_kernels._py_row_sums, _kernels._loop()[1]}
 
-    def assert_sums(self, rows, lengths):
+    def assert_sums(self, rows, n):
         rows = np.ascontiguousarray(rows, dtype=np.float64)
-        want = [np.cumsum(r[:n])[-1] if n else 0.0 for r, n in zip(rows, lengths)]
+        want = [np.cumsum(r[:n])[-1] for r in rows]
         for sums in self.implementations():
-            got = sums(rows, lengths)
+            got = sums(rows, n)
             assert np.array(got).tobytes() == np.array(want).tobytes(), sums
 
     def test_pairwise_np_sum_differs(self):
@@ -413,12 +413,12 @@ class TestRowSums:
         # leaves 1e16, while np.sum's pairwise blocks add the ones together.
         v = np.array([1e16] + [1.0] * 15)
         assert np.sum(v) != np.cumsum(v)[-1] == 1e16
-        self.assert_sums(v[None], [len(v)])
+        self.assert_sums(v[None], len(v))
 
-    def test_single_values_and_empty_rows(self):
-        rows = np.array([[-0.0, 9.0], [_kernels.LOG_ZERO, 9.0], [2.5, 9.0], [1.0, 2.0]])
-        self.assert_sums(rows, [1, 1, 0, 2])
-        assert math.copysign(1.0, _kernels.row_sums(rows, [1, 1, 0, 2])[0]) == -1.0
+    def test_single_values(self):
+        rows = np.array([[-0.0, 9.0], [_kernels.LOG_ZERO, 9.0], [2.5, 9.0]])
+        self.assert_sums(rows, 1)
+        assert math.copysign(1.0, _kernels.row_sums(rows, 1)[0]) == -1.0
 
     @given(
         st.lists(
@@ -428,6 +428,7 @@ class TestRowSums:
                     st.floats(-800.0, 50.0),
                     st.sampled_from([_kernels.LOG_ZERO, -0.0, 1e16, 5e-324]),
                 ),
+                min_size=1,
                 max_size=300,
             ),
             min_size=1,
@@ -436,37 +437,94 @@ class TestRowSums:
     )
     @settings(max_examples=200, deadline=None)
     def test_random_rows(self, rows):
-        # Ragged rows padded with NaN: no sum may read past its length.
-        width = max(map(len, rows))
-        block = np.full((len(rows), width), math.nan)
+        # Rows summed over the shortest one's length, NaN past it and to
+        # the stride: no sum may read past its window.
+        n = min(map(len, rows))
+        block = np.full((len(rows), n + 3), math.nan)
         for r, values in zip(block, rows):
-            r[: len(values)] = values
-        self.assert_sums(block, [len(values) for values in rows])
+            r[:n] = values[:n]
+        self.assert_sums(block, n)
 
     @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 17])
-    @pytest.mark.parametrize("mixed", [False, True], ids=["equal", "mixed"])
-    def test_groups_of_eight_rows(self, n_rows, mixed):
-        # The compiled sums run up to 8 rows at a time, in stretches up to
-        # the next row end; mixed lengths give empty rows, one-value rows,
-        # full rows and rows that end partway.  Magnitudes from 1e-8 to
+    @pytest.mark.parametrize("shorter", [False, True], ids=["equal", "shorter"])
+    def test_groups_of_eight_rows(self, n_rows, shorter):
+        # The compiled sums run 8 rows at a time; the spare slots of a last,
+        # partial group re-read its first row.  The window is the whole
+        # stride or ends partway, NaN past it.  Magnitudes from 1e-8 to
         # 1e16 make every order of the adds round differently.
         rng = np.random.default_rng(n_rows)
         stride = 40
         rows = rng.normal(size=(n_rows, stride)) * 10.0 ** rng.integers(-8, 17, (n_rows, stride))
-        cycle = (0, 1, stride, 13, stride - 1) if mixed else (stride,)
-        self.assert_sums(rows, [cycle[r % len(cycle)] for r in range(n_rows)])
+        n = 13 if shorter else stride
+        rows[:, n:] = math.nan
+        self.assert_sums(rows, n)
 
     @pytest.mark.parametrize("backend", ["c", "python"])
     def test_row_lengths_past_the_stride_are_refused(self, request, monkeypatch, backend):
         pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
         monkeypatch.setattr(_kernels, "_loop", lambda: pair)
         rows = np.full((2, 3), SENTINEL)
-        for lengths in ([5, 1], [1, -1], [1], [1, 1, 1]):
-            with pytest.raises(ValueError, match="row lengths"):
-                _kernels.row_sums(rows, lengths)
+        for n in (4, 0, -1):
+            with pytest.raises(ValueError, match="row length"):
+                _kernels.row_sums(rows, n)
         with pytest.raises(ValueError, match="float64"):
-            _kernels.row_sums(rows.astype(np.float32), [1, 1])
+            _kernels.row_sums(rows.astype(np.float32), 1)
         assert (rows == SENTINEL).all()
+
+
+class TestLaneLambda1:
+    """lane_lambda1 on blocks whose lanes' windows differ, on both
+    backends, against a per-lane oracle: the logs and np.cumsum over the
+    lane's own window only."""
+
+    WIDTH = 120
+    FLOOR = 2 * _kernels.LOG_ZERO  # low enough to show every sum
+
+    @classmethod
+    def oracle(cls, norms, n_used):
+        want = []
+        for lane, n in enumerate(n_used):
+            if n == 0:
+                want.append(math.nan)
+                continue
+            means = [
+                np.cumsum([np.log(v) if v > 0.0 else _kernels.LOG_ZERO for v in row[:n]])[-1] / n
+                for row in norms[:, lane].tolist()
+            ]
+            hi = max(means)
+            want.append(hi if hi > cls.FLOOR else cls.FLOOR)
+        return want
+
+    @pytest.mark.parametrize(
+        "n_used",
+        [
+            [WIDTH] * _kernels.LANES,
+            [WIDTH, 1, 0, 37],
+            [3, 7, 2, 5],
+            [0, WIDTH, 60, WIDTH - 1],
+            [WIDTH, 17],
+            [5],
+            [0] * _kernels.LANES,
+            [0],
+        ],
+        ids=["full", "mixed", "short", "empty-first", "k2", "k1", "empty", "k1-empty"],
+    )
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_mixed_windows_match_per_lane_sums(self, request, monkeypatch, backend, n_used):
+        # Every value past a lane's window, and every value of the slots
+        # past k, is NaN: any that reached a sum would show.
+        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
+        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
+        rng = np.random.default_rng(len(n_used) + sum(n_used))
+        norms = np.full((2, _kernels.LANES, self.WIDTH), math.nan)
+        for lane, n in enumerate(n_used):
+            norms[:, lane, :n] = 10.0 ** rng.uniform(-8, 8, (2, n))
+        if n_used[0] > 2:
+            norms[1, 0, 2] = 0.0  # a collapsed vector: the LOG_ZERO branch
+        want = self.oracle(norms, n_used)
+        got = _kernels.lane_lambda1(norms, n_used, self.FLOOR)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.isnan(norms[:, :, max(n_used) :]).all()
 
 
 class TestBackend:
