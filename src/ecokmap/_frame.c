@@ -5,17 +5,17 @@
  * its results are bitwise those of the Python loop.
  *
  * point_loop runs k points (lanes) in lockstep, in blocks of up to 4.  One
- * step of one point is a chain of square roots and divisions that the core
- * must wait on; the lanes' chains are independent, so they run side by
- * side.  The block loop is written once, in plain C: each step is three
- * passes over the block's lanes (push, orthonormalize, map step), a short
- * stretch of every lane's chain per pass, so neighbouring lanes' square
- * roots and divisions sit together in program order.  A branch of _py_loop
- * is a ?: select, so GCC vectorizes each pass: on AVX2 one vsqrtpd or
- * vdivpd serves all four lanes.  Two build flags let it and change no
- * value: -fno-math-errno (sqrt sets no errno, so needs no call for a
- * negative operand) and -fno-trapping-math (a select may compute both its
- * arms, since no floating-point exception is observed).
+ * step of one point is a chain of a square root and two divisions that the
+ * core must wait on; the lanes' chains are independent, so they run side
+ * by side.  The block loop is written once, in plain C: each step is two
+ * passes over the block's lanes (push, map step), a short stretch of every
+ * lane's chain per pass, so neighbouring lanes' square roots and divisions
+ * sit together in program order.  A branch of _py_loop is a ?: select, so
+ * GCC vectorizes each pass: on AVX2 one vsqrtpd or vdivpd serves all four
+ * lanes.  Two build flags let it and change no value: -fno-math-errno (sqrt
+ * sets no errno, so needs no call for a negative operand) and
+ * -fno-trapping-math (a select may compute both its arms, since no
+ * floating-point exception is observed).
  *
  * The block loop is compiled three ways, its lane width a constant each
  * time: point_loop_scalar (4 lanes, baseline ISA), avx2_blocks (4 lanes, a
@@ -28,14 +28,13 @@
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* Up to 4 lanes, one slot each: parameters, map state, the orthonormal
- * frame (q1, q2), the second pushed vector (carried from push to
- * orthonormalize), the step's two norms, whether the lane is live (1: it
- * has not escaped) and the step at which it escaped.  A lane that escaped
- * keeps its last state; its frame and norms are never read again. */
+/* Up to 4 lanes, one slot each: parameters, map state, the unit tangent
+ * vector q1, the step's two norms, whether the lane is live (1: it has not
+ * escaped) and the step at which it escaped.  A lane that escaped keeps
+ * its last state; its q1 and norms are never read again. */
 struct block {
     double r1[4], r2[4], c1[4], c2[4], c3[4], c4[4];
-    double x[4], y[4], q1x[4], q1y[4], q2x[4], q2y[4], v2x[4], v2y[4], n1[4], n2[4];
+    double x[4], y[4], q1x[4], q1y[4], n1[4], n2[4];
     long long live[4], at[4];
 };
 
@@ -59,10 +58,13 @@ INLINE int step(int w, struct block *b, double threshold, long long s)
     return any != 0;
 }
 
-/* Push the frame through the Jacobian at the state, normalize the first
- * vector and keep its norm (one NaN for any NaN: see _py_loop).  With skip
- * set, lanes that escaped are left out: worth it where each lane costs its
- * own instructions, while a vector computes every slot at once. */
+/* Push q1 through the Jacobian at the state and normalize it, keeping
+ * its norm n1, and take n2, the area that the Jacobian's image of q1's
+ * quarter turn spans over the new q1 (one NaN for any NaN: see _py_loop).
+ * With skip set, lanes that escaped are left out: worth it where each lane
+ * costs its own instructions, while a vector computes every slot at once.
+ * q1 is read once and stored once, after the selects: a select whose else
+ * arm re-reads the slot it stores to becomes a masked store. */
 INLINE void push(int w, int skip, struct block *b)
 {
     for (int l = 0; l < w; l++) {
@@ -70,36 +72,24 @@ INLINE void push(int w, int skip, struct block *b)
             continue;
         const double r1 = b->r1[l], r2 = b->r2[l], c1 = b->c1[l], c2 = b->c2[l];
         const double c3 = b->c3[l], c4 = b->c4[l], x = b->x[l], y = b->y[l];
+        const double q1x = b->q1x[l], q1y = b->q1y[l];
         double j11 = r1 * (1.0 - 2.0 * c1 * x - c2 * y);
         double j12 = -r1 * c2 * x;
         double j21 = -r2 * c3 * y;
         double j22 = r2 * (1.0 - c3 * x - 2.0 * c4 * y);
 
-        double v1x = j11 * b->q1x[l] + j12 * b->q1y[l];
-        double v1y = j21 * b->q1x[l] + j22 * b->q1y[l];
-        b->v2x[l] = j11 * b->q2x[l] + j12 * b->q2y[l];
-        b->v2y[l] = j21 * b->q2x[l] + j22 * b->q2y[l];
+        double v1x = j11 * q1x + j12 * q1y;
+        double v1y = j21 * q1x + j22 * q1y;
+        double v2x = j12 * q1x - j11 * q1y;
+        double v2y = j22 * q1x - j21 * q1y;
 
         double n1 = sqrt(v1x * v1x + v1y * v1y);
-        b->q1x[l] = n1 > 0.0 ? v1x / n1 : b->q1x[l];
-        b->q1y[l] = n1 > 0.0 ? v1y / n1 : b->q1y[l];
+        double ux = n1 > 0.0 ? v1x / n1 : q1x;
+        double uy = n1 > 0.0 ? v1y / n1 : q1y;
+        double n2 = fabs(ux * v2y - uy * v2x);
+        b->q1x[l] = ux;
+        b->q1y[l] = uy;
         b->n1[l] = n1 == n1 ? n1 : NAN;
-    }
-}
-
-/* Gram-Schmidt: the second pushed vector less its part along q1,
- * normalized (q1 turned a quarter if it vanishes), and its norm. */
-INLINE void orthonormalize(int w, int skip, struct block *b)
-{
-    for (int l = 0; l < w; l++) {
-        if (skip && !b->live[l])
-            continue;
-        double proj = b->q1x[l] * b->v2x[l] + b->q1y[l] * b->v2y[l];
-        double wx = b->v2x[l] - proj * b->q1x[l];
-        double wy = b->v2y[l] - proj * b->q1y[l];
-        double n2 = sqrt(wx * wx + wy * wy);
-        b->q2x[l] = n2 > 0.0 ? wx / n2 : -b->q1y[l];
-        b->q2y[l] = n2 > 0.0 ? wy / n2 : b->q1x[l];
         b->n2[l] = n2 == n2 ? n2 : NAN;
     }
 }
@@ -124,7 +114,7 @@ INLINE void blocks(int w, int skip, long long k, const double *params, double x0
             b.r1[l] = p[0], b.r2[l] = p[1], b.c1[l] = p[2];
             b.c2[l] = p[3], b.c3[l] = p[4], b.c4[l] = p[5];
             b.x[l] = x0, b.y[l] = y0;
-            b.q1x[l] = 1.0, b.q1y[l] = 0.0, b.q2x[l] = 0.0, b.q2y[l] = 1.0;
+            b.q1x[l] = 1.0, b.q1y[l] = 0.0;
             b.live[l] = l < n, b.at[l] = 0;
         }
         int live = 1;
@@ -133,7 +123,6 @@ INLINE void blocks(int w, int skip, long long k, const double *params, double x0
         for (long long i = 0; i < n_post && live; i++) {
             if (i < n_lyap) {
                 push(w, skip, &b);
-                orthonormalize(w, skip, &b);
                 for (int l = 0; l < n; l++) {
                     if (b.live[l]) {
                         norm1[(g + l) * n_lyap + i] = b.n1[l];

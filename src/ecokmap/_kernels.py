@@ -3,29 +3,33 @@
 The one hot path of the package is the point loop.  From (x0, y0) it
 iterates the map through the transient once, then for
 max(n_record, n_lyap) steps records the tail states during the first
-n_record steps and, during the first n_lyap, pushes an orthonormal frame
-(initially the identity) through the exact Jacobian, re-orthonormalizes
-it by Gram-Schmidt and stores the two norms of each step.  It stops at
-escape.  Its one entry, point_lanes, runs it for k points (lanes) at
-once: orbit_kernel is a one-lane call with n_lyap = 0, lyapunov_kernel
-one with n_record = 0, and sweep._evaluate runs LANES points per call.
-It refuses a budget below 0 and a run of over 2**63 - 1 steps, which the
-C loop's step counters would wrap.  Its buffer checks, and row_sums'
-check of its one row length, sit above the backends, so both refuse the
-same inputs and neither checks again.
+n_record steps and, during the first n_lyap, pushes a unit tangent
+vector q1 (initially (1, 0)) through the exact Jacobian J, renormalizes
+it and stores the two norms of each step: n1 = |J q1|, and n2 the area
+that J spans over q1's quarter turn, measured against the new q1 (the
+norm Gram-Schmidt gives its second vector, always perpendicular to q1 in
+2-D; n1 * n2 = |det J| where n1 > 0).  It stops at escape.  Its one
+entry, point_lanes, runs it for k points (lanes) at once: orbit_kernel
+is a one-lane call with n_lyap = 0, lyapunov_kernel one with
+n_record = 0, and sweep._evaluate runs LANES points per call.  It
+refuses a budget below 0 and a run of over 2**63 - 1 steps, which the C
+loop's step counters would wrap.  Its buffer checks, and row_sums' check
+of its one row length, sit above the backends, so both refuse the same
+inputs and neither checks again.
 
-A backend is one pair (lanes, row_sums): the compiled one wraps _frame.c;
-_PYTHON runs _py_loop, on plain Python floats (math.sqrt is correctly
-rounded, like C's sqrt), once per lane.  Both use only + - * /, sqrt and
-fabs in the same order, so they give the same bits; tests/test_kernels.py
-pins this.  The compiled loop advances its lanes in lockstep, so the core
-overlaps their chains of square roots and divisions; each lane is
-bitwise a one-lane call.  _frame.c writes it once, over blocks of up to
-four lanes, and compiles it three ways: point_loop_scalar (the baseline
-ISA), an AVX2 instance, where GCC turns each pass over a block into one
-vector operation per quantity, so one vector square root or division
-serves all four lanes, and a one-lane instance.  point_loop runs a
-one-lane call on the one-lane instance, and a call of k >= 2 lanes on
+A backend is one pair (lanes, row_sums): the compiled one wraps
+_frame.c; _PYTHON runs _py_loop, on plain Python floats (math.sqrt is
+correctly rounded, like C's sqrt), once per lane.  Both use only + - * /,
+sqrt and fabs in the same order, so they give the same bits;
+tests/test_kernels.py pins this.  The compiled loop advances its lanes in
+lockstep, so the core overlaps their chains of a square root and two
+divisions per step; each lane is bitwise a one-lane call.  _frame.c
+writes it once, over blocks of up to four lanes, each step two passes
+(push, map step), and compiles it three ways: point_loop_scalar (the
+baseline ISA), an AVX2 instance, where GCC turns each pass over a block
+into one vector operation per quantity, so one vector square root or
+division serves all four lanes, and a one-lane instance.  point_loop runs
+a one-lane call on the one-lane instance, and a call of k >= 2 lanes on
 the AVX2 instance where the CPU has AVX2 (chosen at run time, so _FLAGS
 and the cache key name no CPU), else on point_loop_scalar.  lane_loop()
 says which loop runs k >= 2 lanes; backend() says only "c" or "python".
@@ -161,10 +165,13 @@ def _py_loop(
     i < n_lyap.  Returns (at_step, x, y): the 1-based step at which the
     state escaped (0 if it did not) and the last finite state.
 
-    A norm is NaN only where the frame meets a value that is not finite,
-    such as a start state that is not finite.  The sign and payload of a
-    NaN depend on the order of the operands, which a compiler may swap, so
-    both loops store a NaN norm as math.nan.
+    q1 is pushed to v1 = J q1 and its quarter turn (-q1y, q1x) to v2
+    before q1 moves; q1 becomes v1 / n1 where n1 = |v1| is positive, and
+    n2 = |q1 x v2| takes the new q1: no second vector, no square root and
+    no division.  A norm is NaN only where q1 meets a value that is not
+    finite, such as a start state that is not finite.  The sign and
+    payload of a NaN depend on the order of the operands, which a compiler
+    may swap, so both loops store a NaN norm as math.nan.
     """
     for n in range(1, n_transient + 1):
         xn, yn = step_xy(r1, r2, c1, c2, c3, c4, x, y)
@@ -173,14 +180,13 @@ def _py_loop(
         x, y = xn, yn
 
     q1x, q1y = 1.0, 0.0
-    q2x, q2y = 0.0, 1.0
     for i in range(max(n_record, n_lyap)):
         if i < n_lyap:
             j11, j12, j21, j22 = jacobian_xy(r1, r2, c1, c2, c3, c4, x, y)
             v1x = j11 * q1x + j12 * q1y
             v1y = j21 * q1x + j22 * q1y
-            v2x = j11 * q2x + j12 * q2y
-            v2y = j21 * q2x + j22 * q2y
+            v2x = j12 * q1x - j11 * q1y
+            v2y = j22 * q1x - j21 * q1y
 
             n1 = math.sqrt(v1x * v1x + v1y * v1y)
             if n1 > 0.0:
@@ -190,19 +196,8 @@ def _py_loop(
                 n1 = math.nan
             norm1[i] = n1
 
-            proj = q1x * v2x + q1y * v2y
-            wx = v2x - proj * q1x
-            wy = v2y - proj * q1y
-            n2 = math.sqrt(wx * wx + wy * wy)
-            if n2 > 0.0:
-                q2x = wx / n2
-                q2y = wy / n2
-            else:
-                if n2 != 0.0:
-                    n2 = math.nan
-                q2x = -q1y
-                q2y = q1x
-            norm2[i] = n2
+            n2 = abs(q1x * v2y - q1y * v2x)
+            norm2[i] = n2 if n2 == n2 else math.nan
 
         xn, yn = step_xy(r1, r2, c1, c2, c3, c4, x, y)
         if not _inside(xn, yn, threshold):
@@ -465,7 +460,8 @@ def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold
 def lyapunov_kernel(
     r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_iter, threshold, floor, lam1_series, lam2_series
 ):
-    """Two-exponent Benettin accumulation with per-step Gram-Schmidt.
+    """Two-exponent Benettin accumulation: one renormalized tangent vector
+    and the area the Jacobian spans over it (see the module docstring).
 
     The point loop stores each step's two norms in lam1_series/lam2_series;
     after it, their logs (LOG_ZERO for a norm that is not positive) are

@@ -1,10 +1,14 @@
-"""Lyapunov spectrum of the map by Jacobian products with re-orthonormalization.
+"""Lyapunov spectrum of the map by Jacobian products with renormalization.
 
 A direct product of Jacobians over- or underflows after a few hundred
-steps, so the limit is evaluated the standard way: push an orthonormal
-frame through the tangent dynamics, re-orthonormalize (Gram-Schmidt) every
-step, and accumulate the log norms.  The per-step means converge to the
-two exponents; the full running series is kept for convergence plots.
+steps, so the limit is evaluated the standard way (Benettin et al.): push
+a unit tangent vector q1 through the tangent dynamics, renormalize it every
+step, and accumulate the log norms.  The second norm of each step is the
+area the Jacobian spans over q1's quarter turn, measured against the new
+q1: in 2-D that is the norm Gram-Schmidt gives its second vector, which is
+always perpendicular to q1, so no second vector is carried.  The per-step
+means converge to the two exponents; the full running series is kept for
+convergence plots.
 """
 from __future__ import annotations
 

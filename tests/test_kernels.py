@@ -30,7 +30,7 @@ import hypothesis.strategies as st
 
 import ecokmap
 from ecokmap import _kernels
-from ecokmap.dynamics import ModelParams, State
+from ecokmap.dynamics import ModelParams, State, jacobian
 from ecokmap.lyapunov import MIN_STEPS, lyapunov_spectrum
 from ecokmap.orbit import ESCAPE_THRESHOLD, iterate
 from ecokmap.sweep import SweepSpec, bifurcation_sweep
@@ -119,8 +119,8 @@ class TestCompiledAgainstPython:
         pytest.param(
             ModelParams(4.0, 2.0, 0.1, 0, 0, 0.1), (1e300, 0.1), 0, 5, 100, 1, id="overflow"
         ),
-        # r2 = 0 collapses the second frame vector every step; r1 = r2 = 0
-        # makes every Jacobian zero, so both norms are zero.
+        # r2 = 0 zeroes the Jacobian's second row, so the area n2 is zero
+        # every step; r1 = r2 = 0 makes every Jacobian zero, so both norms are.
         pytest.param(replace(REF, r2=0.0), (0.2, 0.1), N_TR, N_REC, N_LYAP, 0, id="r2-zero"),
         pytest.param(
             ModelParams(0, 0, 1, 1, 1, 1), (0.7, 0.3), N_TR, N_REC, N_LYAP, 0, id="r1-r2-zero"
@@ -150,6 +150,40 @@ class TestCompiledAgainstPython:
             assert at_step == 0
             for r in zero_rows:
                 assert not norms[r].any()
+
+    def test_collapsed_first_vector_keeps_the_area(self, lanes):
+        # From the superstable point (0.5, 0) every Jacobian is diag(0, 0.5):
+        # q1 = (1, 0) is pushed to zero (n1 = 0, q1 kept) and its quarter
+        # turn to (0, 0.5), so n2 = 0.5 exactly, as Gram-Schmidt gives.
+        # |det J| / n1 would read 0 / 0.
+        p, n = ModelParams(2, 0.5, 1, 0, 0, 1), 50
+        for loop in (lanes, _kernels._PYTHON.lanes):
+            for k, slot in ((1, 0), *((_kernels.LANES, s) for s in range(_kernels.LANES))):
+                rows = [row(REF)] * k
+                rows[slot] = row(p)
+                norms = np.full((2, k, n), SENTINEL)
+                runs = loop(rows, 0.5, 0.0, 0, 0, n, ESCAPE_THRESHOLD, np.empty((k, 0, 2)), *norms)
+                assert runs[slot] == (0, 0.5, 0.0)
+                assert (norms[0, slot] == 0.0).all() and (norms[1, slot] == 0.5).all()
+
+    def test_norm_product_is_the_determinant(self, lanes):
+        # n1 * n2 = |det J| in exact arithmetic.  Each norm is rounded to
+        # within a few eps * |J| (Frobenius), so the product to within a few
+        # eps * |J|^2, as is det J itself: at most 0.92 of eps * |J|^2 was
+        # seen on REF, while against |det J| alone the gap reached 56 ulps
+        # where |det J| is small beside |J|^2.
+        n_tr, n = 20, 2000
+        norms = np.empty((2, 1, n))
+        ((at_step, *_),) = lanes(
+            [row(REF)], 0.2, 0.1, n_tr, 0, n, ESCAPE_THRESHOLD, _kernels._NO_WINDOW, *norms
+        )
+        assert at_step == 0
+        tail = iterate(REF, State(0.2, 0.1), n_tr - 1 + n, n_tr - 1).tail
+        js = [jacobian(REF, State(x, y)) for x, y in tail]
+        det = np.array([abs(j.det) for j in js])
+        size2 = np.array([j.a11**2 + j.a12**2 + j.a21**2 + j.a22**2 for j in js])
+        gap = np.abs(norms[0, 0] * norms[1, 0] - det)
+        assert (gap <= 4 * np.finfo(float).eps * size2).all()
 
     def test_a_nan_norm_is_one_nan(self, lanes):
         # From (inf, nan) at r1 = r2 = 0 both norms of step 0 are NaN, with a

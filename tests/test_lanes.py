@@ -143,8 +143,9 @@ class TestAgainstOracle:
         assert not any(math.isnan(lam1) for _, lam1 in got)
 
     def test_zero_norm_lanes(self):
-        # r2 = 0 collapses the second frame vector every step; r1 = r2 = 0
-        # makes every Jacobian zero, so both norms take the LOG_ZERO branch.
+        # r2 = 0 zeroes the Jacobian's second row, so the area n2 is zero
+        # every step; r1 = r2 = 0 makes every Jacobian zero, so both norms
+        # take the LOG_ZERO branch.
         params = [
             replace(REF, r2=0.0),
             ModelParams(0, 0, 1, 1, 1, 1),
