@@ -210,36 +210,3 @@ void point_loop(long long k, const double *params, double x0, double y0,
     point_loop_scalar(k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1,
                       norm2, last, at_step);
 }
-
-/* out[r] = the strict left-to-right sum of the first n >= 1 values of row
- * r, v[r * stride .. + n - 1], starting from its first value (bitwise the
- * last element of np.cumsum).  Rows go in groups of 8, whose chains of
- * adds run interleaved, for the same reason as the lanes above, each in
- * its own register (named, since GCC keeps an indexed array of sums in
- * memory); the spare slots of a last, partial group re-read that group's
- * first row. */
-void row_sums(long long n_rows, long long stride, long long n, const double *v, double *out)
-{
-    for (long long g = 0; g < n_rows; g += 8) {
-        const double *p[8];
-        for (int j = 0; j < 8; j++)
-            p[j] = v + (g + j < n_rows ? g + j : g) * stride;
-        const double *p0 = p[0], *p1 = p[1], *p2 = p[2], *p3 = p[3];
-        const double *p4 = p[4], *p5 = p[5], *p6 = p[6], *p7 = p[7];
-        double a0 = p0[0], a1 = p1[0], a2 = p2[0], a3 = p3[0];
-        double a4 = p4[0], a5 = p5[0], a6 = p6[0], a7 = p7[0];
-        for (long long i = 1; i < n; i++) {
-            a0 += p0[i];
-            a1 += p1[i];
-            a2 += p2[i];
-            a3 += p3[i];
-            a4 += p4[i];
-            a5 += p5[i];
-            a6 += p6[i];
-            a7 += p7[i];
-        }
-        const double a[8] = {a0, a1, a2, a3, a4, a5, a6, a7};
-        for (int j = 0; j < 8 && g + j < n_rows; j++)
-            out[g + j] = a[j];
-    }
-}

@@ -13,13 +13,13 @@ entry, point_lanes, runs it for k points (lanes) at once: orbit_kernel
 is a one-lane call with n_lyap = 0, lyapunov_kernel one with
 n_record = 0, and sweep._evaluate runs LANES points per call.  It
 refuses a budget below 0 and a run of over 2**63 - 1 steps, which the C
-loop's step counters would wrap.  Its buffer checks, and row_sums' check
-of its one row length, sit above the backends, so both refuse the same
-inputs and neither checks again.
+loop's step counters would wrap.  Its buffer checks sit above the
+backends, so both refuse the same inputs and neither checks again.
 
-A backend is one pair (lanes, row_sums): the compiled one wraps
-_frame.c; _PYTHON runs _py_loop, on plain Python floats (math.sqrt is
-correctly rounded, like C's sqrt), once per lane.  Both use only + - * /,
+A backend is a pair (lanes, lib): the compiled one wraps _frame.c's
+point_loop and keeps the loaded library; _PYTHON runs _py_loop, on plain
+Python floats (math.sqrt is correctly rounded, like C's sqrt), once per
+lane, and has no library.  Both use only + - * /,
 sqrt and fabs in the same order, so they give the same bits;
 tests/test_kernels.py pins this.  The compiled loop advances its lanes in
 lockstep, so the core overlaps their chains of a square root and two
@@ -36,15 +36,13 @@ says which loop runs k >= 2 lanes; backend() says only "c" or "python".
 
 The logs of the norms (LOG_ZERO for a norm that is not positive) are
 taken afterwards with np.log on either backend, so math.log against
-np.log never arises.  lyapunov_kernel keeps the running sums of the logs
-(np.cumsum, a sequential add); a sweep point needs only the last one.
-lane_lambda1 takes a block's last sums in one row_sums call over the
-block's longest window, each shorter lane padded with 0.0 logs, which
-change no sum.  row_sums adds the first n values of every row strictly
-left to right, bitwise the last element of np.cumsum (which the Python
-backend takes); the compiled one keeps eight rows' sums in registers.
-Where every norm is positive, as on a chaotic point, the logs take one
-np.log pass.
+np.log never arises; where every norm is positive, as on a chaotic
+point, they take one np.log pass.  A run's reported exponents are the
+ordered, floored means of its two rows of logs, each summed by
+np.add.reduce, numpy's pairwise sum (rounding error growing as log n
+rather than n, as for a sequential add): lane_lambda1 takes them for
+each lane of a sweep block, lyapunov_kernel for one run, whose running
+series (np.cumsum's sequential sums) ends at them.
 
 Build: the first kernel call, never the import, compiles _frame.c with
 sysconfig's CC (or cc) into the package's __pycache__ (a private
@@ -121,38 +119,20 @@ def _log_norms(norms):
     np.copyto(norms, LOG_ZERO, where=collapsed)
 
 
-def _py_row_sums(rows, n):
-    """row_sums without a compiler: the last np.cumsum element of each row."""
-    return np.cumsum(rows[:, :n], axis=1)[:, -1]
-
-
-def _is_buffer(buf, ndim: int, writable: bool = True) -> bool:
-    """buf is a C-contiguous float64 ndarray of ndim dimensions, writable
-    if asked: the layout both backends read and write."""
+def _is_buffer(buf, ndim: int) -> bool:
+    """buf is a writable C-contiguous float64 ndarray of ndim dimensions:
+    the layout both backends write."""
     return (
         isinstance(buf, np.ndarray) and buf.ndim == ndim and buf.dtype == np.float64
-        and buf.flags.c_contiguous and (buf.flags.writeable or not writable)
+        and buf.flags.c_contiguous and buf.flags.writeable
     )
 
 
-def row_sums(rows, n):
-    """Sum of the first n values of each row of the 2-D float64 array
-    rows, strictly left to right from the first value: bitwise
-    np.cumsum(rows[:, :n], axis=1)[:, -1].  Compiled where the point loop
-    is."""
-    if not _is_buffer(rows, 2, writable=False):
-        raise ValueError("need rows as a 2-D C-contiguous float64 array")
-    if not 1 <= n <= rows.shape[1]:
-        raise ValueError(f"need a row length in [1, {rows.shape[1]}], got {n}")
-    return _loop()[1](rows, n)
-
-
 def _ordered(a, b, floor):
-    """The larger and the smaller of each pair of running means, floored."""
+    """The larger and the smaller of each pair of means, floored; a NaN
+    mean stays NaN."""
     ge = a >= b
-    hi = np.where(ge, a, b)
-    lo = np.where(ge, b, a)
-    return np.where(hi > floor, hi, floor), np.where(lo > floor, lo, floor)
+    return np.maximum(np.where(ge, a, b), floor), np.maximum(np.where(ge, b, a), floor)
 
 
 def _py_loop(
@@ -210,26 +190,22 @@ def _py_loop(
 
 
 class _Backend(NamedTuple):
-    """A point loop's two functions, and the compiled library behind
-    them (None for the Python loop)."""
+    """A point loop's lanes, and the compiled library behind them (None
+    for the Python loop)."""
 
     lanes: Callable
-    row_sums: Callable
     lib: Any = None
 
 
 def _c_loop(lib, entry="point_loop"):
     """The compiled backend: lanes around _frame.c's point_loop (or the
-    named entry with its signature, such as point_loop_scalar) and its
-    row_sums."""
+    named entry with its signature, such as point_loop_scalar)."""
     import ctypes
 
     dbl, ll, ptr = ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p
-    fn, sums = getattr(lib, entry), lib.row_sums
+    fn = getattr(lib, entry)
     fn.argtypes = (ll, ptr, dbl, dbl, ll, ll, ll, dbl, ptr, ptr, ptr, ptr, ptr)
     fn.restype = None
-    sums.argtypes = (ll, ll, ll, ptr, ptr)
-    sums.restype = None
     lib.vector_loop.argtypes = ()
     lib.vector_loop.restype = ctypes.c_int
 
@@ -243,13 +219,7 @@ def _c_loop(lib, entry="point_loop"):
         )
         return [(at_step[l], last[2 * l], last[2 * l + 1]) for l in range(k)]
 
-    def row_sums(rows, n):
-        n_rows, stride = rows.shape
-        out = np.empty(n_rows)
-        sums(n_rows, stride, n, rows.ctypes.data, out.ctypes.data)
-        return out
-
-    return _Backend(lanes, row_sums, lib)
+    return _Backend(lanes, lib)
 
 
 def _py_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
@@ -260,7 +230,7 @@ def _py_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, no
     ]
 
 
-_PYTHON = _Backend(_py_lanes, _py_row_sums)
+_PYTHON = _Backend(_py_lanes)
 
 
 def _sha256():
@@ -347,9 +317,8 @@ def _compiled():
 
 @functools.cache
 def _loop():
-    """The backend that runs: the compiled (lanes, row_sums) pair if it
-    builds and loads, else _PYTHON.  Resolved on the first kernel call,
-    once per process."""
+    """The backend that runs: the compiled one if it builds and loads,
+    else _PYTHON.  Resolved on the first kernel call, once per process."""
     return _compiled() or _PYTHON
 
 
@@ -371,15 +340,22 @@ def lane_loop() -> str:
     return "avx2" if lib.vector_loop() else "scalar"
 
 
-def buffer(shape, name: str, count: int) -> np.ndarray:
-    """np.empty(shape) for a buffer whose size the budget `name` = count
-    sets.  numpy refuses with ValueError a shape it cannot even size (some
-    2**60 floats); callers cap count at MAX_COUNT, so that is the fault of
-    a failed allocation, and both raise MemoryError naming the budget."""
+@contextlib.contextmanager
+def sized_by(name: str, count: int):
+    """Raise a failure to make an array that the budget `name` = count
+    sizes as MemoryError naming the budget.  numpy refuses with ValueError
+    a size it cannot even count (some 2**60 floats); callers cap count at
+    MAX_COUNT, so that is the fault of a failed allocation too."""
     try:
-        return np.empty(shape)
+        yield
     except (ValueError, MemoryError) as e:
         raise MemoryError(f"{name} = {count}: {e}") from None
+
+
+def buffer(shape, name: str, count: int) -> np.ndarray:
+    """np.empty(shape), sized by the budget `name` = count."""
+    with sized_by(name, count):
+        return np.empty(shape)
 
 
 def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
@@ -416,30 +392,19 @@ def lane_lambda1(norms, n_used, floor):
     """The largest exponent of each lane l from the norms of its first
     n_used[l] steps, norms[0, l] and norms[1, l]; NaN where n_used[l] is 0.
 
-    norms is a C-contiguous array of shape (2, >= k, n), k = len(n_used),
-    and is overwritten.  With m = max(n_used), each lane's norms over
-    [0, n_used[l]) become their logs and its values over [n_used[l], m),
-    like those of the slots past k, become 0.0, so one row_sums call sums
-    every row over [0, m).  Adding 0.0 changes no sum of logs (a sum is
-    -0.0 only if all its values are, and np.log never gives -0.0).  Each
-    value is bitwise the last lambda1 of lyapunov_kernel's series, without
-    the series: the same logs (np.log, one call per lane), the same
-    sequential sums and the same ordering."""
-    k, lanes, width = len(n_used), norms.shape[1], norms.shape[2]
-    n = np.array(n_used)
-    lam = np.full(k, math.nan)
-    m = max(n_used, default=0)
-    if m == 0:
-        return lam.tolist()
-    for lane, used in enumerate([*n_used, *[0] * (lanes - k)]):
+    norms has shape (2, >= k, n), k = len(n_used); each lane's norms over
+    [0, n_used[l]) are overwritten with their logs, and no other value is
+    touched.  Each value is bitwise lyapunov_kernel's lambda1 on the same
+    norms: the same logs (np.log, one call per lane), the same pairwise
+    sums (np.add.reduce along each of the lane's two rows) and the same
+    ordering."""
+    sums = np.full((2, len(n_used)), math.nan)
+    for lane, used in enumerate(n_used):
         if used:
-            _log_norms(norms[:, lane, :used])
-        if used < m:
-            norms[:, lane, used:m] = 0.0
-    sums = row_sums(norms.reshape(2 * lanes, width), m).reshape(2, lanes)[:, :k]
-    ok = n > 0
-    lam[ok] = _ordered(sums[0, ok] / n[ok], sums[1, ok] / n[ok], floor)[0]
-    return lam.tolist()
+            logs = norms[:, lane, :used]
+            _log_norms(logs)
+            sums[:, lane] = np.add.reduce(logs, axis=1)
+    return _ordered(*(sums / n_used), floor)[0].tolist()
 
 
 def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold, out):
@@ -466,8 +431,10 @@ def lyapunov_kernel(
     The point loop stores each step's two norms in lam1_series/lam2_series;
     after it, their logs (LOG_ZERO for a norm that is not positive) are
     accumulated and the running per-step means overwrite the buffers
-    (sorted so series 1 >= series 2, floored at `floor`).  Returns
-    (lambda1, lambda2, n_used, escaped, at_step).
+    (sorted so series 1 >= series 2, floored at `floor`).  The returned
+    pair is the ordered, floored means of the logs' pairwise sums
+    (np.add.reduce), and the last entries of the series are set to it.
+    Returns (lambda1, lambda2, n_used, escaped, at_step).
     """
     ((_, n_used, at_step, _, _),) = point_lanes(
         [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, 0, n_iter, threshold,
@@ -476,11 +443,13 @@ def lyapunov_kernel(
     if n_used == 0:
         return 0.0, 0.0, 0, at_step > 0, at_step
     steps = np.arange(1, n_used + 1)
-    s1 = lam1_series[:n_used]
-    s2 = lam2_series[:n_used]
+    s1, s2 = lam1_series[:n_used], lam2_series[:n_used]
+    means = []
     for s in (s1, s2):
         _log_norms(s)
+        means.append(np.add.reduce(s) / n_used)
         np.cumsum(s, out=s)
         s /= steps
     s1[:], s2[:] = _ordered(s1, s2, floor)
-    return s1[-1], s2[-1], n_used, at_step > 0, at_step
+    lam1, lam2 = s1[-1], s2[-1] = _ordered(*means, floor)
+    return lam1, lam2, n_used, at_step > 0, at_step

@@ -42,9 +42,12 @@ LAMBDA_FLOOR = -50.0
 class LyapunovResult:
     """Exponent pair (lambda1 >= lambda2) plus the running-estimate series.
 
-    series has shape (n_used, 3) with columns (n, lambda1(n), lambda2(n));
-    its last row equals (n_used, lambda1, lambda2).  escaped marks a
-    partial result whose base orbit left the admissible region.
+    lambda1 and lambda2 are the larger and the smaller mean of the two
+    rows of log norms, each summed pairwise (np.add.reduce), floored.
+    series has shape (n_used, 3) with columns (n, lambda1(n), lambda2(n)),
+    the running means of sequential sums (np.cumsum), except its last row,
+    which equals (n_used, lambda1, lambda2).  escaped marks a partial
+    result whose base orbit left the admissible region.
     """
 
     lambda1: float
@@ -94,7 +97,8 @@ def lambda_series(result: LyapunovResult, stride: int = 1) -> np.ndarray:
     """Running-estimate series downsampled by stride.
 
     Keeps rows with n divisible by stride and always includes the final
-    row, so a convergence plot ends at the reported exponents.
+    row, which holds the reported exponents, so a convergence plot ends
+    at them.
     """
     check_count("stride", stride, 1)
     s = result.series

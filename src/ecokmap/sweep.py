@@ -139,7 +139,8 @@ def bifurcation_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResul
     """
     if workers is not None:
         check_count("workers", workers, 1)
-    grid = grid_values(spec.lo, spec.hi, spec.n_points)
+    with _kernels.sized_by("n_points", spec.n_points):
+        grid = grid_values(spec.lo, spec.hi, spec.n_points)
     params = [replace(spec.base, **{spec.parameter: v}) for v in grid]
     points = tuple(
         SweepPoint(value=v, orbit=rec, lambda1=lam1)
@@ -215,8 +216,10 @@ def chaos_grid(spec: ChaosGridSpec, workers: int | None = None) -> ChaosGridResu
     """
     if workers is not None:
         check_count("workers", workers, 1)
-    c2_grid = grid_values(spec.c2_lo, spec.c2_hi, spec.c2_points)
-    c3_grid = grid_values(spec.c3_lo, spec.c3_hi, spec.c3_points)
+    with _kernels.sized_by("c2_points", spec.c2_points):
+        c2_grid = grid_values(spec.c2_lo, spec.c2_hi, spec.c2_points)
+    with _kernels.sized_by("c3_points", spec.c3_points):
+        c3_grid = grid_values(spec.c3_lo, spec.c3_hi, spec.c3_points)
     tasks = [(r2, c2, c3) for r2 in spec.r2_values for c2 in c2_grid for c3 in c3_grid]
     params = [replace(spec.base, r2=r2, c2=c2, c3=c3) for r2, c2, c3 in tasks]
     cells = tuple(

@@ -286,6 +286,30 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, section, flags, budget",
+        [
+            ("bifurcate", {}, ["--grid", str(2**62)], "n_points"),
+            ("bifurcate", {"sweep": {"points": 2**62}}, [], "n_points"),
+            ("chaos-grid", {}, ["--grid", str(2**62)], "c2_points"),
+            ("chaos-grid", {"grid": {"c2_points": 2**62}}, [], "c2_points"),
+            ("chaos-grid", {"grid": {"c3_points": 2**62}}, [], "c3_points"),
+        ],
+    )
+    def test_grid_count_too_large_to_size_is_3(
+        self, config_path, tmp_path, capsys, command, section, flags, budget
+    ):
+        # numpy refuses the grid axis of 2**62 points before allocating
+        # anything.  A count it could allocate is not tried: the list of
+        # that many points would fill memory first.
+        out = tmp_path / "o"
+        assert run(command, "--config", config_path(dict(BASE, **section)), "--out", str(out),
+                   *flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ecokmap: out of memory: {budget} = {2**62}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "phase", "bifurcate", "chaos-grid"])
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_invalid_seed_tolerance_is_2(self, config_path, tmp_path, capsys, command, tol):
@@ -331,7 +355,7 @@ class TestExitCodes:
         def lanes(*args):
             raise AssertionError("a refused budget reached the lanes")
 
-        monkeypatch.setattr(_kernels, "_loop", lambda: (lanes, _kernels._py_row_sums))
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._Backend(lanes))
         assert run(
             "simulate", "--config", config_path(BASE), "--out", str(tmp_path / "o"),
             "--transient", str(2**64 + 100), "--steps", "3",
@@ -364,7 +388,7 @@ class TestExitCodes:
         def lanes(*args):
             raise AssertionError("a refused budget reached the lanes")
 
-        monkeypatch.setattr(_kernels, "_loop", lambda: (lanes, _kernels._py_row_sums))
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._Backend(lanes))
         doc = dict(BASE, budgets=dict(BASE["budgets"], **budgets))
         out = tmp_path / "o"
         assert run(command, "--config", config_path(doc), "--out", str(out), *flags) == 2

@@ -31,7 +31,7 @@ import hypothesis.strategies as st
 import ecokmap
 from ecokmap import _kernels
 from ecokmap.dynamics import ModelParams, State, jacobian
-from ecokmap.lyapunov import MIN_STEPS, lyapunov_spectrum
+from ecokmap.lyapunov import LAMBDA_FLOOR, MIN_STEPS, lyapunov_spectrum
 from ecokmap.orbit import ESCAPE_THRESHOLD, iterate
 from ecokmap.sweep import SweepSpec, bifurcation_sweep
 
@@ -49,7 +49,7 @@ def escaping_at(k: int) -> ModelParams:
 
 @pytest.fixture(scope="module")
 def compiled():
-    """The compiled backend's (lanes, row_sums) pair, its lanes on point_loop."""
+    """The compiled backend, its lanes on point_loop."""
     pair = _kernels._loop()
     if pair is _kernels._PYTHON:
         pytest.skip("no C compiler: the compiled point loop is not available")
@@ -427,91 +427,12 @@ class TestLogNorms:
         assert (buf == SENTINEL).all()
 
 
-class TestRowSums:
-    """row_sums, compiled and in Python, against the last element of
-    np.cumsum, bitwise: a strict left-to-right sum from the first value."""
-
-    @staticmethod
-    def implementations():
-        return {_kernels._py_row_sums, _kernels._loop()[1]}
-
-    def assert_sums(self, rows, n):
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        want = [np.cumsum(r[:n])[-1] for r in rows]
-        for sums in self.implementations():
-            got = sums(rows, n)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), sums
-
-    def test_pairwise_np_sum_differs(self):
-        # 1e16 + 1 rounds back to 1e16, so adding fifteen ones one at a time
-        # leaves 1e16, while np.sum's pairwise blocks add the ones together.
-        v = np.array([1e16] + [1.0] * 15)
-        assert np.sum(v) != np.cumsum(v)[-1] == 1e16
-        self.assert_sums(v[None], len(v))
-
-    def test_single_values(self):
-        rows = np.array([[-0.0, 9.0], [_kernels.LOG_ZERO, 9.0], [2.5, 9.0]])
-        self.assert_sums(rows, 1)
-        assert math.copysign(1.0, _kernels.row_sums(rows, 1)[0]) == -1.0
-
-    @given(
-        st.lists(
-            st.lists(
-                st.one_of(
-                    st.floats(-1e6, 1e6),
-                    st.floats(-800.0, 50.0),
-                    st.sampled_from([_kernels.LOG_ZERO, -0.0, 1e16, 5e-324]),
-                ),
-                min_size=1,
-                max_size=300,
-            ),
-            min_size=1,
-            max_size=2 * _kernels.LANES + 1,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_random_rows(self, rows):
-        # Rows summed over the shortest one's length, NaN past it and to
-        # the stride: no sum may read past its window.
-        n = min(map(len, rows))
-        block = np.full((len(rows), n + 3), math.nan)
-        for r, values in zip(block, rows):
-            r[:n] = values[:n]
-        self.assert_sums(block, n)
-
-    @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 17])
-    @pytest.mark.parametrize("shorter", [False, True], ids=["equal", "shorter"])
-    def test_groups_of_eight_rows(self, n_rows, shorter):
-        # The compiled sums run 8 rows at a time; the spare slots of a last,
-        # partial group re-read its first row.  The window is the whole
-        # stride or ends partway, NaN past it.  Magnitudes from 1e-8 to
-        # 1e16 make every order of the adds round differently.
-        rng = np.random.default_rng(n_rows)
-        stride = 40
-        rows = rng.normal(size=(n_rows, stride)) * 10.0 ** rng.integers(-8, 17, (n_rows, stride))
-        n = 13 if shorter else stride
-        rows[:, n:] = math.nan
-        self.assert_sums(rows, n)
-
-    @pytest.mark.parametrize("backend", ["c", "python"])
-    def test_row_lengths_past_the_stride_are_refused(self, request, monkeypatch, backend):
-        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
-        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
-        rows = np.full((2, 3), SENTINEL)
-        for n in (4, 0, -1):
-            with pytest.raises(ValueError, match="row length"):
-                _kernels.row_sums(rows, n)
-        with pytest.raises(ValueError, match="float64"):
-            _kernels.row_sums(rows.astype(np.float32), 1)
-        assert (rows == SENTINEL).all()
-
-
 class TestLaneLambda1:
-    """lane_lambda1 on blocks whose lanes' windows differ, on both
-    backends, against a per-lane oracle: the logs and np.cumsum over the
-    lane's own window only."""
+    """lane_lambda1 on blocks whose lanes' windows differ, against a
+    per-lane oracle (the logs and np.add.reduce over the lane's own window
+    only) and against lyapunov_kernel on the same norms."""
 
-    WIDTH = 120
+    WIDTH = 1000
     FLOOR = 2 * _kernels.LOG_ZERO  # low enough to show every sum
 
     @classmethod
@@ -522,12 +443,29 @@ class TestLaneLambda1:
                 want.append(math.nan)
                 continue
             means = [
-                np.cumsum([np.log(v) if v > 0.0 else _kernels.LOG_ZERO for v in row[:n]])[-1] / n
+                np.add.reduce([np.log(v) if v > 0.0 else _kernels.LOG_ZERO for v in row[:n]]) / n
                 for row in norms[:, lane].tolist()
             ]
             hi = max(means)
             want.append(hi if hi > cls.FLOOR else cls.FLOOR)
         return want
+
+    @classmethod
+    def kernel_lambda1(cls, norms, n):
+        """lyapunov_kernel's lambda1 on one lane's norms, norms[:, :n]: its
+        backend patched to lanes that write them as an n-step run's."""
+
+        def lanes(params, x0, y0, n_tr, n_rec, n_lyap, threshold, tail, norm1, norm2):
+            norm1[0], norm2[0] = norms[:, :n_lyap]
+            return [(0, x0, y0)]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_loop", lambda: _kernels._Backend(lanes))
+            s1, s2 = np.empty(n), np.empty(n)
+            lam1, *_ = _kernels.lyapunov_kernel(
+                *row(REF), 0.2, 0.1, 0, n, ESCAPE_THRESHOLD, cls.FLOOR, s1, s2
+            )
+        return lam1
 
     @pytest.mark.parametrize(
         "n_used",
@@ -556,9 +494,37 @@ class TestLaneLambda1:
         if n_used[0] > 2:
             norms[1, 0, 2] = 0.0  # a collapsed vector: the LOG_ZERO branch
         want = self.oracle(norms, n_used)
+        kernel = [self.kernel_lambda1(norms[:, lane], n) if n else math.nan
+                  for lane, n in enumerate(n_used)]
         got = _kernels.lane_lambda1(norms, n_used, self.FLOOR)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(kernel).tobytes() == np.array(want).tobytes()
         assert np.isnan(norms[:, :, max(n_used) :]).all()
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_misaligned_rows_match_the_kernel(self, request, monkeypatch, backend):
+        # An odd n_lyap starts every other lane's rows 8 bytes past a
+        # 16-byte boundary; each lane's lambda1 must still be bitwise a
+        # single lyapunov_kernel run of its point.
+        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
+        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
+        n_tr, n_lyap = 50, 2001
+        points = [replace(REF, r2=r2) for r2 in (3.9, 3.75, 3.5, 3.95)]
+        norms = np.empty((2, len(points), n_lyap))
+        assert {norms[r, lane].ctypes.data % 16 for r in (0, 1) for lane in range(4)} == {0, 8}
+        runs = _kernels.point_lanes(
+            [row(p) for p in points], 0.2, 0.1, n_tr, 0, n_lyap, ESCAPE_THRESHOLD,
+            np.empty((len(points), 0, 2)), *norms,
+        )
+        got = _kernels.lane_lambda1(norms, [n for _, n, *_ in runs], LAMBDA_FLOOR)
+        want = []
+        for p in points:
+            s1, s2 = np.empty(n_lyap), np.empty(n_lyap)
+            lam1, *_ = _kernels.lyapunov_kernel(
+                *row(p), 0.2, 0.1, n_tr, n_lyap, ESCAPE_THRESHOLD, LAMBDA_FLOOR, s1, s2
+            )
+            want.append(lam1)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestBackend:

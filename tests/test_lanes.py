@@ -80,7 +80,7 @@ def escape_step(p, s0, limit):
 
 @pytest.fixture(scope="module")
 def compiled():
-    """The compiled backend's (lanes, row_sums) pair."""
+    """The compiled backend."""
     pair = _kernels._loop()
     if pair is _kernels._PYTHON:
         pytest.skip("no C compiler: the compiled point loop is not available")

@@ -7,7 +7,8 @@ log|det J| is an algebraic identity of the scheme (n1 * n2 = |det J| at
 every step where n1 > 0) and is checked against an independent
 accumulation of |det J| over the states of `iterate`.  The kernel's
 formulas are pinned bitwise against benettin_reference, a plain-Python
-copy in the kernel's operation order, and its running series against
+copy in the kernel's operation order whose series ends at the pairwise
+means of its logs, and its running series against
 gram_schmidt_reference, the two-vector Gram-Schmidt scheme, within a
 rounding budget.
 """
@@ -210,7 +211,9 @@ def jacobians(p, s0, n_transient, n_iter):
 
 def running_series(norms, floor):
     """Running (lambda1, lambda2) series from each step's pair of norms, a
-    norm that is not positive counted as LOG_ZERO."""
+    norm that is not positive counted as LOG_ZERO: the means of sequential
+    sums, except the last entry, which is the reported pair."""
+    norms = list(norms)
     acc1 = acc2 = 0.0
     lam1, lam2 = [], []
     for n, (n1, n2) in enumerate(norms, 1):
@@ -219,7 +222,18 @@ def running_series(norms, floor):
         hi, lo = sorted((acc1 / n, acc2 / n), reverse=True)
         lam1.append(max(hi, floor))
         lam2.append(max(lo, floor))
+    if norms:
+        lam1[-1], lam2[-1] = reported_pair(norms, floor)
     return np.array(lam1), np.array(lam2)
+
+
+def reported_pair(norms, floor):
+    """The exponent pair a run reports from each step's pair of norms: the
+    larger and the smaller mean of the two rows of logs, each summed
+    pairwise by np.add.reduce, floored."""
+    logs = [[np.log(v) if v > 0.0 else _kernels.LOG_ZERO for v in row] for row in zip(*norms)]
+    hi, lo = sorted((np.add.reduce(row) / len(row) for row in logs), reverse=True)
+    return max(hi, floor), max(lo, floor)
 
 
 def benettin_norms(js):
@@ -353,3 +367,68 @@ class TestKernelFormulas:
         budget = 8 * np.finfo(float).eps * rounding / np.arange(1, n_used + 1)
         assert np.all(np.abs(got1 - want1) <= budget)
         assert np.all(np.abs(got2 - want2) <= budget)
+
+
+def spectrum_and_norms(p, s0, n_transient, n_iter):
+    """lyapunov_spectrum's result and the norms of the same run, from a
+    one-lane point_lanes call: (result, [(n1, n2), ...])."""
+    r = lyapunov_spectrum(p, s0, n_transient, n_iter)
+    norms = np.empty((2, 1, n_iter))
+    _kernels.point_lanes(
+        [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)], s0.x, s0.y, n_transient, 0, n_iter,
+        ESCAPE_THRESHOLD, np.empty((1, 0, 2)), *norms,
+    )
+    return r, list(zip(*norms[:, 0, : r.n_used].tolist()))
+
+
+class TestReportedPair:
+    """The reported exponents are the ordered, floored pairwise means of
+    the run's own logs, and its series ends at them."""
+
+    # Over 3 900 seeded random bounded runs (the ranges of
+    # TestOrderingProperty; 20 000 and 2 000 steps), |lambda1 - the
+    # math.fsum mean of the same logs| was at most 3.1 eps * mean|log|,
+    # the rounding of the final divisions included; a sequential sum of
+    # the same logs (np.cumsum's last entry) was off by up to 2 655 at
+    # 20 000 steps.  The bound allows 8.
+    FSUM_BOUND = 8
+
+    @pytest.mark.parametrize(
+        "p, s0, n_iter",
+        [
+            (ModelParams(3.0, 3.9, 1.8, 0.6, 0.6, 2.5), State(0.2, 0.1), 3001),
+            (ModelParams(2, 3.2, 1, 0, 0, 1), State(0.2, 0.1), 3000),
+            # a partial run: the orbit escapes inside the window
+            (SLOW_ESCAPE, ESCAPE_S0, 3000),
+            # r1 = r2 = 0: both means are LOG_ZERO, floored
+            (ModelParams(0, 0, 1, 1, 1, 1), State(0.7, -0.3), MIN_STEPS),
+        ],
+        ids=["chaotic", "two-cycle", "escaped", "floored"],
+    )
+    def test_pair_is_the_ordered_pairwise_mean_of_its_logs(self, p, s0, n_iter):
+        r, norms = spectrum_and_norms(p, s0, 50, n_iter)
+        pair = reported_pair(norms, LAMBDA_FLOOR)
+        assert np.array([r.lambda1, r.lambda2]).tobytes() == np.array(pair).tobytes()
+        assert tuple(r.series[-1]) == (r.n_used, *pair)
+
+    def test_lambda1_is_within_rounding_of_the_exact_mean(self):
+        rng = np.random.default_rng(23)
+        eps, kept = np.finfo(float).eps, 0
+        while kept < 40:
+            p = ModelParams(*rng.uniform(0.5, 4.0, 2), *rng.uniform(0.0, 2.0, 4))
+            s0 = State(*rng.uniform(0.05, 0.6, 2))
+            try:
+                r, norms = spectrum_and_norms(p, s0, 100, 20_000)
+            except EscapedTooEarly:
+                continue
+            if r.escaped:
+                continue
+            logs = np.array(norms).T
+            _kernels._log_norms(logs)
+            means = [math.fsum(row) / r.n_used for row in logs.tolist()]
+            top = int(np.argmax(means))
+            if means[top] <= LAMBDA_FLOOR:
+                continue
+            kept += 1
+            scale = eps * np.abs(logs[top]).mean()
+            assert abs(r.lambda1 - means[top]) <= self.FSUM_BOUND * scale
