@@ -44,13 +44,21 @@ rather than n, as for a sequential add): lane_lambda1 takes them for
 each lane of a sweep block, lyapunov_kernel for one run, whose running
 series (np.cumsum's sequential sums) ends at them.
 
-Build: the first kernel call, never the import, compiles _frame.c with
-sysconfig's CC (or cc) into the package's __pycache__ (a private
+The library also holds render_rows, the row renderer behind csvio's
+tables and svgplot's data elements: rows of a %-template ("%.17g",
+"%.2f", "%d", "%s"), each value written byte for byte as Python's %
+writes it, from float64 and int64 arrays and Strings (a str column as
+indexes into a table of ASCII strs).  The wrapper of the same name runs
+it where the library is loaded, else applies the template with % in
+Python, its twin: the same bytes, which tests/test_csv_svg.py pins.
+
+Build: the first kernel or render_rows call, never the import, compiles
+_frame.c with sysconfig's CC (or cc) into the package's __pycache__ (a private
 temporary directory if that is not writable), under a name keyed by the
 SHA-256 of the source, the flags and the machine, and loads it with
 ctypes.  Every successful load, of a new build or a cached one, deletes
-the other _frame-*.so builds beside it.  The build takes about 0.35 to
-0.55 s with gcc 12, once per source.  If there is no compiler,
+the other _frame-*.so builds beside it.  The build takes about 0.4 to
+0.6 s with gcc 12, once per source.  If there is no compiler,
 or the build or the load fails, the Python backend runs instead: slower,
 same results.  backend() says which.
 
@@ -69,6 +77,8 @@ import functools
 import importlib
 import math
 import os
+import re
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -208,6 +218,8 @@ def _c_loop(lib, entry="point_loop"):
     fn.restype = None
     lib.vector_loop.argtypes = ()
     lib.vector_loop.restype = ctypes.c_int
+    lib.render_rows.argtypes = (ll, ptr, ctypes.c_char_p, ll, ll, ll, ptr, ll, ptr)
+    lib.render_rows.restype = ll
 
     def lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
         k = len(params)
@@ -231,6 +243,100 @@ def _py_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, no
 
 
 _PYTHON = _Backend(_py_lanes)
+
+
+class Strings(NamedTuple):
+    """A column of strings for render_rows: row i holds table[index[i]].
+    index is an int64 array; the table's strs are ASCII."""
+
+    index: np.ndarray
+    table: list
+
+
+def strings(values) -> Strings:
+    """A list of strs as Strings, the table in order of first appearance."""
+    codes: dict = {}
+    index = np.fromiter((codes.setdefault(v, len(codes)) for v in values), np.int64, len(values))
+    return Strings(index, list(codes))
+
+
+# A template's conversions, and render_rows' slot kind for each.
+_CONVERSIONS = re.compile(r"%(\.17g|\.2f|d|s)")
+_KINDS = {".17g": "g", ".2f": "f", "d": "d", "s": "s"}
+# The most bytes one value of a kind takes: _frame.c's WIDEST_G/F/D.
+_WIDEST = {"g": 24, "f": 313, "d": 20}
+# _frame.c's struct slot: one row template slot, its literal and its column.
+_SLOT = np.dtype([
+    ("pre", np.uintp), ("pre_len", np.int64), ("kind", np.int64), ("col", np.uintp),
+    ("stride", np.int64), ("text", np.uintp), ("ends", np.uintp),
+])
+
+
+def _compiled_column(kind, column) -> bool:
+    """column is what _frame.c's render_rows reads for a slot of kind."""
+    if kind == "s":
+        return isinstance(column, Strings)
+    dtype = np.int64 if kind == "d" else np.float64
+    return isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype == dtype
+
+
+def render_rows(template: str, columns, chunk: int):
+    """The rows of the columns through the %-template, as ASCII bytes, up to
+    chunk rows per bytes object.
+
+    Each conversion of template ("%.17g", "%.2f", "%d" or "%s"; its
+    literal text holds no "%") takes one column, in order, all of one
+    length: a float64 array for a float conversion, an int64 array for
+    "%d", Strings for "%s".  The compiled library's render_rows writes
+    each value exactly as % would.  Without the library, or where a column
+    is anything else (a range or a list of ints past int64), the rows come
+    from the template itself, % over chunk rows at a time: the same bytes."""
+    pieces = _CONVERSIONS.split(template)
+    kinds = [_KINDS[c] for c in pieces[1::2]]
+    lengths = {len(c.index if isinstance(c, Strings) else c) for c in columns}
+    if len(columns) != len(kinds) or len(lengths) != 1:
+        raise ValueError(f"need one column per conversion of {template!r}, all of one length")
+    (n_rows,) = lengths
+    lib = _loop().lib
+    if lib is None or not all(map(_compiled_column, kinds, columns)):
+        for i in range(0, n_rows, chunk):
+            rows = [_py_values(c, i, i + chunk) for c in columns]
+            text = (template * len(rows[0])) % tuple(chain.from_iterable(zip(*rows)))
+            yield text.encode("ascii")
+        return
+    *literals, post = [np.frombuffer(p.encode("ascii"), np.uint8) for p in pieces[::2]]
+    slots, keep = np.zeros(len(kinds), _SLOT), []  # keep: what the slots point into
+    width = len(post)
+    for slot, pre, kind, column in zip(slots, literals, kinds, columns):
+        slot["pre"], slot["pre_len"], slot["kind"] = pre.ctypes.data, len(pre), ord(kind)
+        width += len(pre) + _WIDEST.get(kind, 0)
+        if kind == "s":
+            text = np.frombuffer("".join(column.table).encode("ascii"), np.uint8)
+            ends = np.cumsum([0, *map(len, column.table)], dtype=np.int64)
+            slot["text"], slot["ends"] = text.ctypes.data, ends.ctypes.data
+            keep += [text, ends]
+            width += max(map(len, column.table), default=0)
+            column = column.index
+        slot["col"], slot["stride"] = column.ctypes.data, column.strides[0]
+    buf, used = np.empty(min(chunk, n_rows) * width, np.uint8), np.zeros(1, np.int64)
+    start = 0
+    while start < n_rows:
+        stop = lib.render_rows(
+            len(kinds), slots.ctypes.data, post.tobytes(), len(post), start,
+            min(start + chunk, n_rows), buf.ctypes.data, len(buf), used.ctypes.data,
+        )
+        if stop == start:
+            raise RuntimeError(f"a row of {template!r} does not fit in {len(buf)} bytes")
+        yield buf[: used[0]].tobytes()
+        start = stop
+
+
+def _py_values(column, start, stop) -> list:
+    """Rows start .. stop - 1 of a render_rows column, as Python values."""
+    if isinstance(column, Strings):
+        return [column.table[i] for i in column.index[start:stop].tolist()]
+    part = column[start:stop]
+    return part.tolist() if isinstance(part, np.ndarray) else part
 
 
 def _sha256():

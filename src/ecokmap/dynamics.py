@@ -229,6 +229,9 @@ def eigenvalues_2x2(j: Jacobian2) -> tuple[complex, complex]:
     (a+bi, a-bi) with b > 0).  The real case uses the numerically stable
     form of the quadratic formula (larger root first, smaller as det/root)
     to keep the product of the eigenvalues faithful to the determinant.
+    A triangular matrix (the decoupled map's Jacobian) returns its diagonal
+    as is: the quadratic would lose ~1e-12 to cancellation when the two
+    diagonal entries nearly coincide.
     """
     tr = j.trace
     det = j.det
@@ -237,7 +240,9 @@ def eigenvalues_2x2(j: Jacobian2) -> tuple[complex, complex]:
     # discriminant is not resolvable in double precision; a near-repeated
     # root would otherwise acquire a spurious ~1e-9 imaginary part.
     noise = 4.0 * 2.220446049250313e-16 * (tr * tr + 4.0 * abs(det))
-    if abs(disc) <= noise:
+    if j.a12 == 0.0 or j.a21 == 0.0:
+        e1, e2 = complex(j.a11), complex(j.a22)
+    elif abs(disc) <= noise:
         e1 = e2 = complex(0.5 * tr)
     elif disc > 0.0:
         s = math.sqrt(disc)

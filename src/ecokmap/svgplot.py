@@ -5,14 +5,18 @@ timestamps), so plot files are diffable and byte-stable across runs.
 Every data point is one element carrying class="d" — scatter and line
 charts use one circle per point, heat maps one rect per cell — which is
 what ties an SVG to its CSV: data-element count equals CSV row count.
+The data elements (and a line chart's polyline points) come from
+_kernels.render_rows, CHUNK_POINTS points per call, with "%.2f"
+coordinates exactly as _fmt writes them; the axes are written by _fmt.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
-from .csvio import distinct_index
+from . import _kernels
 
 __all__ = ["scatter_svg", "line_svg", "heatmap_svg", "count_data_elements"]
 
@@ -24,7 +28,7 @@ MARGIN_T = 34.0
 MARGIN_B = 48.0
 N_TICKS = 5
 PAD_FRACTION = 0.05  # 5% margin around the data range
-CHUNK_POINTS = 4096  # plot points formatted and joined at a time
+CHUNK_POINTS = 4096  # plot points rendered per render_rows chunk
 
 
 def _fmt(v: float) -> str:
@@ -130,61 +134,28 @@ def _axes_elems(ax: _Axes, xlabel: str, ylabel: str) -> list[str]:
     return out
 
 
-# One data marker; _fmt's "%.2f" for its coordinates.
-_CIRCLE = '<circle class="d" cx="%.2f" cy="%.2f" r="{r}" fill="#1f5fa8"/>'
+# One data marker, on a line of its own; _fmt's "%.2f" for its coordinates.
+_CIRCLE = '\n<circle class="d" cx="%.2f" cy="%.2f" r="{r}" fill="#1f5fa8"/>'
 
 
-def _distinct_points(px: np.ndarray, py: np.ndarray):
-    """((x, y), index): the distinct points (px, py) by bit pattern, as two
-    arrays, and each point's index among them; None where distinct_index
-    finds too few repeats, in either coordinate or in the points."""
-    fx, fy = distinct_index(px.view(np.int64)), distinct_index(py.view(np.int64))
-    if fx is None or fy is None:
-        return None
-    (dx, key), (dy, iy) = fx, fy
-    key *= len(dy)  # each point's two indexes as one number, in place
-    key += iy
-    del fx, fy, iy  # frees iy's n indexes before the next sort
-    points = distinct_index(key)
-    if points is None:
-        return None
-    keys, index = points
-    return (dx.view(np.float64)[keys // len(dy)], dy.view(np.float64)[keys % len(dy)]), index
+def _rows(template: str, columns):
+    """The data elements, render_rows' rows of template, CHUNK_POINTS per str."""
+    return (c.decode("ascii") for c in _kernels.render_rows(template, columns, CHUNK_POINTS))
 
 
-def _pairs(px: np.ndarray, py: np.ndarray):
-    """The pixel pairs "x,y" of the points (px, py), CHUNK_POINTS per list.
-    Points that repeat (a settled orbit's) are formatted once per distinct
-    point and gathered; the bytes are the same either way."""
-    points = _distinct_points(px, py)
-    if points is None:
-        for start in range(0, len(px), CHUNK_POINTS):
-            chunk = slice(start, start + CHUNK_POINTS)
-            yield list(map("%.2f,%.2f".__mod__, zip(px[chunk].tolist(), py[chunk].tolist())))
-        return
-    (x, y), index = points
-    pairs = np.array(list(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist()))), dtype=object)
-    for start in range(0, len(index), CHUNK_POINTS):
-        yield pairs[index[start : start + CHUNK_POINTS]].tolist()
-
-
-def _marks(ax: _Axes, xs: np.ndarray, ys: np.ndarray, radius: float):
-    """Per CHUNK_POINTS points, their pixel pairs "x,y" and their circles
-    (class "d") as one string, so no string per point outlives its chunk."""
-    c_open, c_close = _CIRCLE.format(r=_fmt(radius)).split('%.2f" cy="%.2f')
-    for pairs in _pairs(ax.px(xs), ax.py(ys)):
-        # Each pair is formatted once: a circle is its text, comma replaced.
-        yield pairs, c_open + (c_close + "\n" + c_open).join(pairs).replace(",", '" cy="') + c_close
+def _document(title: str, ax: _Axes, xlabel: str, ylabel: str, *data) -> str:
+    """The plot: header and axes, the data elements (each an iterable of
+    strs) and the closing tag."""
+    head = "\n".join(_header(title) + _axes_elems(ax, xlabel, ylabel))
+    return "".join([head, *chain.from_iterable(data), "\n</svg>\n"])
 
 
 def scatter_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.2) -> str:
     """Scatter plot; one circle (class "d") per point."""
     xs, ys = _coords(xs), _coords(ys)
     ax = _Axes(xs, ys)
-    parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
-    parts.extend(circles for _, circles in _marks(ax, xs, ys, radius))
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    circles = _rows(_CIRCLE.format(r=_fmt(radius)), [ax.px(xs), ax.py(ys)])
+    return _document(title, ax, xlabel, ylabel, circles)
 
 
 def line_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.2) -> str:
@@ -192,17 +163,13 @@ def line_svg(xs, ys, *, xlabel: str, ylabel: str, title: str, radius: float = 1.
     (class "d") per point."""
     xs, ys = _coords(xs), _coords(ys)
     ax = _Axes(xs, ys)
-    polyline, circles = [], []
-    for pairs, marks in _marks(ax, xs, ys, radius):
-        polyline.append(" ".join(pairs))
-        circles.append(marks)
-    parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
-    parts.append(
-        f'<polyline points="{" ".join(polyline)}" fill="none" stroke="#1f5fa8" stroke-width="1"/>'
-    )
-    parts.extend(circles)
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    points = [ax.px(xs), ax.py(ys)]
+    pairs = list(_rows(" %.2f,%.2f", points))  # " x,y" per point; the first space goes
+    if pairs:
+        pairs[0] = pairs[0][1:]
+    polyline = ['\n<polyline points="', *pairs, '" fill="none" stroke="#1f5fa8" stroke-width="1"/>']
+    circles = _rows(_CIRCLE.format(r=_fmt(radius)), points)
+    return _document(title, ax, xlabel, ylabel, polyline, circles)
 
 
 def _heat_color(v: float, lo: float, hi: float) -> str:
@@ -236,18 +203,13 @@ def heatmap_svg(xs, ys, values, *, xlabel: str, ylabel: str, title: str) -> str:
     finite = [v for v in values if not math.isnan(v)]
     v_lo = min(finite, default=-1.0)
     v_hi = max(finite, default=1.0)
-    parts = _header(title) + _axes_elems(ax, xlabel, ylabel)
     w = abs(ax.px(dx) - ax.px(0.0))
     h = abs(ax.py(dy) - ax.py(0.0))
-    rect = (
-        f'<rect class="d" x="%.2f" y="%.2f" width="{_fmt(w)}" height="{_fmt(h)}" fill="%s"/>'
-    ).__mod__
-    parts.extend(
-        rect((px - w / 2, py - h / 2, _heat_color(v, v_lo, v_hi)))
-        for px, py, v in zip(ax.px(cx).tolist(), ax.py(cy).tolist(), values)
-    )
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    rect = f'\n<rect class="d" x="%.2f" y="%.2f" width="{_fmt(w)}" height="{_fmt(h)}" fill="%s"/>'
+    fills = _kernels.strings([_heat_color(v, v_lo, v_hi) for v in values])
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as in Python floats
+        cells = [ax.px(cx) - w / 2, ax.py(cy) - h / 2, fills]
+    return _document(title, ax, xlabel, ylabel, _rows(rect, cells))
 
 
 def count_data_elements(svg_text: str) -> int:

@@ -11,13 +11,14 @@ import io
 import math
 import sys
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from ecokmap import csvio, svgplot
+from ecokmap import _kernels, csvio, svgplot
 from ecokmap.csvio import format_value, read_csv, render_csv, write_csv
 from ecokmap.svgplot import count_data_elements, heatmap_svg, line_svg, scatter_svg
 
@@ -108,6 +109,11 @@ class TestSvg:
         ET.fromstring(svg)
         assert count_data_elements(svg) == 3
         assert "#b0b0b0" in svg
+
+    @pytest.mark.parametrize("plot", [scatter_svg, line_svg])
+    def test_unequal_coordinate_counts_are_refused(self, plot):
+        with pytest.raises(ValueError, match="all of one length"):
+            plot([0.0, 1.0], [0.0], xlabel="x", ylabel="y", title="t")
 
     def test_title_is_escaped(self):
         svg = scatter_svg([0.0], [0.0], xlabel="x", ylabel="y", title="a < b & c")
@@ -216,6 +222,24 @@ class TestCsvTemplates:
             assert (tmp_path / "t.csv").read_text() == reference_csv(["n", "v", "p"], columns)
 
     @pytest.mark.parametrize(
+        "header,columns",
+        [
+            (["label"], [["ok", "caf\u00e9"]]),
+            (["caf\u00e9"], [["ok"]]),
+            (["n", "p"], [[1], np.array(["\u00e9"])]),
+        ],
+        ids=["str", "header", "str-array"],
+    )
+    def test_non_ascii_refused_before_the_file_is_opened(self, tmp_path, header, columns):
+        name = header[-1]
+        with pytest.raises(ValueError, match=f"CSV column {name!r}"):
+            render_csv(header, columns)
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=f"CSV column {name!r}"):
+            write_csv(path, header, columns)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "columns,error",
         [
             ([[1], [True]], TypeError),
@@ -239,9 +263,10 @@ class TestCsvTemplates:
         assert not path.exists()
 
 
-# Floats whose bytes or formatting are easy to get wrong when each
-# distinct value is formatted once: signed zeros, a NaN with its sign bit
-# set (written "nan"), both infinities and the smallest subnormal.
+# Floats whose bytes or formatting are easy to get wrong when text is
+# copied between rows with the same bits or formatted in C: signed zeros, a
+# NaN with its sign bit set (written "nan", where glibc writes "-nan"),
+# both infinities and the smallest subnormal.
 NEG_NAN = -math.nan
 SPECIAL_FLOATS = [0.0, -0.0, NEG_NAN, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1 / 3]
 
@@ -267,22 +292,21 @@ def repeating(pool, n_rows, rng):
 
 
 class TestRepeatedFloats:
-    """Columns whose values repeat: each distinct value is formatted once,
-    and the bytes must still be csv.writer + format_value's."""
+    """Columns whose values repeat: the compiled renderer copies a value's
+    text from the previous row where the bits are the same, and the bytes
+    must still be csv.writer + format_value's."""
 
     def test_signed_zeros_and_nans_keep_their_text(self):
         assert math.copysign(1.0, NEG_NAN) == -1.0
-        assert csvio.format_floats(np.array([-0.0, 0.0] * 4), "%.17g") == (
-            "%s", ["-0", "0"] * 4
-        )
-        assert csvio.format_floats(np.array([NEG_NAN, math.nan] * 4), "%.17g") == (
-            "%s", ["nan"] * 8
-        )
+        zeros = np.array([-0.0, -0.0, 0.0, 0.0] * 2)
+        assert render_csv(["v"], [zeros]) == "v\n" + "-0\n-0\n0\n0\n" * 2
+        nans = np.array([NEG_NAN, NEG_NAN, math.nan] * 2)
+        assert render_csv(["v"], [nans]) == "v\n" + "nan\n" * 6
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_special_values_same_bytes_as_reference(self, kind):
         rng = np.random.default_rng(0)
-        n_rows = len(SPECIAL_FLOATS) * csvio.MIN_REPEATS * 3
+        n_rows = len(SPECIAL_FLOATS) * 12
         columns = [
             range(n_rows),
             as_kind(repeating(SPECIAL_FLOATS, n_rows, rng), kind),
@@ -291,18 +315,20 @@ class TestRepeatedFloats:
         expected = csv_writer_csv(["n", "a", "b"], columns)
         assert expected == reference_csv(["n", "a", "b"], columns)
         assert render_csv(["n", "a", "b"], columns) == expected
-        for column in columns[1:]:
-            assert csvio._column(column, False)[0] == "%s"  # formatted once per value
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
+            assert render_csv(["n", "a", "b"], columns) == expected
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "one-past"])
-    def test_distinct_share_at_and_past_the_threshold(self, kind, extra):
-        n_distinct = len(SPECIAL_FLOATS)
-        n_rows = n_distinct * csvio.MIN_REPEATS
-        pool = SPECIAL_FLOATS + [0.25 * i for i in range(1, extra + 1)]
-        column = as_kind(repeating(pool, n_rows, np.random.default_rng(1)), kind)
-        conversion, _ = csvio._column(column, False)
-        assert conversion == ("%s" if extra == 0 else "%.17g")
+    @pytest.mark.parametrize("order", ["runs", "scattered"])
+    def test_repeats_same_bytes_as_reference(self, kind, order):
+        # In runs, every row but a run's first copies the row before it;
+        # scattered, a value's rows are rarely neighbours.
+        n_rows = len(SPECIAL_FLOATS) * 4
+        rows = repeating(SPECIAL_FLOATS, n_rows, np.random.default_rng(1))
+        if order == "runs":
+            rows = sorted(rows, key=SPECIAL_FLOATS.index)
+        column = as_kind(rows, kind)
         expected = csv_writer_csv(["v"], [column])
         assert render_csv(["v"], [column]) == expected == reference_csv(["v"], [column])
 
@@ -320,16 +346,17 @@ class TestRepeatedFloats:
         assert render_csv(["x", "n"], columns) == reference_csv(["x", "n"], columns)
 
     def test_chunk_boundaries(self, tmp_path, monkeypatch):
+        # A chunk's first row never copies from the chunk before it.
         monkeypatch.setattr(csvio, "CHUNK_ROWS", 7)
         rng = np.random.default_rng(2)
         for n_rows in (0, 6, 7, 49, 50):
-            pool = SPECIAL_FLOATS[: max(1, n_rows // csvio.MIN_REPEATS)]
+            pool = SPECIAL_FLOATS[: max(1, n_rows // 4)]
+            runs = sorted(repeating(pool, max(n_rows, len(pool)), rng)[:n_rows], key=pool.index)
             columns = [
                 range(n_rows),
-                np.array(repeating(pool, max(n_rows, len(pool)), rng)[:n_rows]),
+                np.array(runs),
                 np.arange(n_rows) / 7,  # distinct: formatted per row
             ]
-            assert csvio._column(columns[1], False)[0] == "%s"
             write_csv(tmp_path / "t.csv", ["n", "a", "v"], columns)
             expected = reference_csv(["n", "a", "v"], columns)
             assert (tmp_path / "t.csv").read_text() == expected
@@ -427,8 +454,9 @@ class TestSvgAgainstScalarReference:
 
 
 class TestRepeatedPoints:
-    """Plots whose points repeat: each distinct point is formatted once, and
-    the bytes must still be the scalar reference's."""
+    """Plots whose points repeat: the compiled renderer copies a coordinate's
+    text from the previous point where the bits are the same, and the bytes
+    must still be the scalar reference's."""
 
     @pytest.mark.parametrize("kind", ["scatter", "line"])
     def test_special_coordinates_same_bytes_as_reference(self, kind):
@@ -439,16 +467,14 @@ class TestRepeatedPoints:
         assert render(kind, np.array(xs), np.array(ys)) == reference_svg(kind, xs, ys)
 
     @pytest.mark.parametrize("kind", ["scatter", "line"])
-    @pytest.mark.parametrize("extra", [0, 1], ids=["at-threshold", "one-past"])
-    def test_distinct_share_at_and_past_the_threshold(self, kind, extra):
-        # 12 distinct points in 48, then a 13th: a coordinate repeats more
-        # often than the points do, so the points decide.
+    @pytest.mark.parametrize("order", ["runs", "scattered"])
+    def test_repeats_same_bytes_as_reference(self, kind, order):
+        # A bifurcation diagram's x repeats in runs, once per tail state.
         pool = [(x, y) for x in (0.1, 0.2, 0.3) for y in (0.4, 0.5, 0.6, 0.7)]
-        pool += [(0.1, 0.8)] * extra
-        xs, ys = map(list, zip(*repeating(pool, 12 * csvio.MIN_REPEATS, np.random.default_rng(4))))
-        ax = svgplot._Axes(np.array(xs), np.array(ys))
-        found = svgplot._distinct_points(ax.px(np.array(xs)), ax.py(np.array(ys)))
-        assert (found is None) == bool(extra)
+        points = repeating(pool, 48, np.random.default_rng(4))
+        if order == "runs":
+            points = sorted(points, key=pool.index)
+        xs, ys = map(list, zip(*points))
         assert render(kind, xs, ys) == reference_svg(kind, xs, ys)
 
     @pytest.mark.parametrize("kind", ["scatter", "line"])
@@ -458,8 +484,7 @@ class TestRepeatedPoints:
         assert render(kind, [], []) == reference_svg(kind, [], [])
         for n in (4, 7, 14, 49, 50):  # part of a chunk, whole chunks, a remainder
             pool = [(0.25 * i, -0.5 * i) for i in range(max(1, n // 8))]
-            xs, ys = map(list, zip(*repeating(pool, n, rng)))
-            assert svgplot._distinct_points(*(np.array(v) for v in (xs, ys))) is not None
+            xs, ys = map(list, zip(*sorted(repeating(pool, n, rng))))  # runs across chunks
             assert render(kind, xs, ys) == reference_svg(kind, xs, ys)
 
     @given(
@@ -500,3 +525,119 @@ class TestSpan:
         assert [(v, math.copysign(1.0, v)) for v in got] == [
             (v, math.copysign(1.0, v)) for v in expected
         ]
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    """The compiled library's backend; the tests that need it skip without
+    a C compiler."""
+    pair = _kernels._loop()
+    if pair.lib is None:
+        pytest.skip("no C compiler: the compiled renderer is not available")
+    return pair
+
+
+def compiled_rows(template, columns, chunk=4096) -> str:
+    return b"".join(_kernels.render_rows(template, columns, chunk)).decode("ascii")
+
+
+def float_bits(b: int) -> float:
+    return np.array([b], dtype=np.uint64).view(np.float64)[0].item()
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+ANY_FLOAT = (
+    st.floats() | INT64.map(lambda b: float_bits(b % 2**64)) | st.sampled_from(SPECIAL_FLOATS)
+)
+
+
+class TestRenderRows:
+    """_frame.c's render_rows against Python's % conversions, value by value."""
+
+    @given(values=st.lists(ANY_FLOAT, max_size=40), ints=st.lists(INT64, max_size=40))
+    @example(
+        values=SPECIAL_FLOATS + [-1.7976931348623157e308, -2.2250738585072014e-308, 2.0**50],
+        ints=[-(2**63), 2**63 - 1, 0, -1],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_percent(self, compiled, values, ints):
+        column = np.array(values, dtype=np.float64)
+        for conversion in ("%.17g", "%.2f"):
+            want = "".join(conversion % v + "\n" for v in values)
+            assert compiled_rows(conversion + "\n", [column], 7) == want
+        want = "".join("<%d>" % v for v in ints)
+        assert compiled_rows("<%d>", [np.array(ints, dtype=np.int64)], 5) == want
+
+    @pytest.mark.parametrize(
+        "conversion,value,text",
+        [
+            ("%.17g", 1 + 2**-17, "1.0000076293945312"),  # ...3125: 2 is even, kept
+            ("%.17g", 1 + 3 * 2**-17, "1.0000228881835938"),  # ...9375: 7 is odd, up
+            ("%.17g", -(1 + 2**-17), "-1.0000076293945312"),
+            ("%.17g", 0.0010004043579101562, "0.0010004043579101562"),  # ...15625
+            ("%.17g", 0.0010023117065429688, "0.0010023117065429688"),  # ...296875
+            ("%.17g", 1.0728836059570312e-05, "1.0728836059570312e-05"),  # ...703125
+            ("%.17g", 1.0251998901367188e-05, "1.0251998901367188e-05"),  # ...671875
+            ("%.2f", 0.125, "0.12"),
+            ("%.2f", 0.375, "0.38"),
+            ("%.2f", -0.625, "-0.62"),
+            ("%.2f", 1e15 + 0.125, "1000000000000000.12"),
+            ("%.2f", 2.0**50 - 0.875, "1125899906842623.12"),
+        ],
+    )
+    def test_decimal_ties_round_half_to_even(self, compiled, conversion, value, text):
+        # Each value's exact decimal expansion ends in a 5 just past the
+        # digits kept, which round to the even neighbour.
+        digits = str(Decimal(value)).replace("-", "").replace(".", "").lstrip("0")
+        assert digits.endswith("5") and len(digits) == {"%.17g": 18}.get(conversion, len(digits))
+        assert conversion % value == text
+        assert compiled_rows(conversion, [np.array([value])]) == text
+
+    def test_ints_past_int64_route_to_the_template(self, monkeypatch):
+        # A library whose render_rows is called fails the test.
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._Backend(None, lib=object()))
+        columns = [
+            [10**30, -(10**19)],
+            np.array([2**63, 1], dtype=np.uint64),
+            range(2**63 - 1, 2**63 + 1),
+        ]
+        header = ["big", "u64", "range"]
+        assert render_csv(header, columns) == reference_csv(header, columns)
+
+
+@pytest.fixture(scope="module")
+def reference_outputs():
+    """fig-2's c2 = c3 = 0.6 sweep and a 100 000-step orbit, as the CLI
+    writes them: (header, columns, scatter x, scatter y) tables."""
+    from dataclasses import replace
+
+    from ecokmap.dynamics import ModelParams, State
+    from ecokmap.orbit import iterate
+    from ecokmap.sweep import SweepSpec, bifurcation_sweep, bifurcation_table
+
+    base = ModelParams(3.0, 3.0, 1.8, 0.6, 0.6, 2.5)
+    spec = SweepSpec(
+        base=base, parameter="r2", lo=2.8, hi=4.0, n_points=241, s0=State(0.2, 0.1),
+        n_transient=400, n_record=100, n_lyap=20_000,
+    )
+    header, columns = bifurcation_table(bifurcation_sweep(spec))
+    n, x, y = iterate(replace(base, r2=3.9), State(0.2, 0.1), 100_400, 400).columns()
+    return {
+        "sweep": (header, columns, columns[0], columns[3]),
+        "orbit": (["n", "x", "y"], [n, x, y], x, y),
+    }
+
+
+@pytest.mark.parametrize("name", ["sweep", "orbit"])
+def test_compiled_rows_same_bytes_as_the_template(compiled, reference_outputs, name):
+    header, columns, xs, ys = reference_outputs[name]
+    labels = dict(xlabel="x", ylabel="y", title="t")
+
+    def outputs():
+        plots = scatter_svg(xs, ys, **labels), line_svg(xs, ys, **labels)
+        return render_csv(header, columns), *plots
+
+    got = outputs()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
+        assert outputs() == got
