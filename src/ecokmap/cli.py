@@ -214,7 +214,7 @@ def cmd_bifurcate(cfg: RunConfig, args, out_dir: Path) -> int:
         n_lyap=s.lyap,
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
-    result = _cli.bifurcation_sweep(spec, workers=args.workers)
+    result = _cli.bifurcation_sweep(spec)
     header, columns = _cli.bifurcation_table(result)
     _write(out_dir, "bifurcation.csv", header, columns)
     if args.plot:
@@ -277,7 +277,7 @@ def cmd_chaos_grid(cfg: RunConfig, args, out_dir: Path) -> int:
         n_lyap=g.lyap,
         period_tol=_pick(args.seed_tolerance, PERIOD_TOL),
     )
-    result = _cli.chaos_grid(spec, workers=args.workers)
+    result = _cli.chaos_grid(spec)
     header = ["c2", "c3", "r2", "lambda1", "label"]
     c2, c3, r2s, lambda1, labels = ([getattr(c, f) for c in result.cells] for f in header)
     _write(out_dir, "chaos_grid.csv", header, [c2, c3, r2s, lambda1, labels])

@@ -7,7 +7,7 @@ go through _kernels.point_lanes in blocks of _kernels.LANES, which the
 compiled loop advances in lockstep; each block's lambda1 values come
 from its norms through _kernels.lane_lambda1.  A point's result
 depends only on its own inputs, so results are bitwise identical
-whatever the grid size, point order, lane slot or worker count;
+whatever the grid size, point order or lane slot;
 tests/test_lanes.py pins each point against iterate + lyapunov_spectrum
 on both kernel backends.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels, orbit
 from .dynamics import DOMAIN, NON_NEGATIVE, SWEEPABLE_PARAMETERS, ModelParams, State
-from .dynamics import check_at_least, check_axis, check_count, check_floats
+from .dynamics import check_at_least, check_axis, check_floats
 from .lyapunov import LAMBDA_FLOOR, MIN_STEPS, SWEEP_STEPS
 from .orbit import (
     DEFAULT_RECORD,
@@ -130,15 +130,12 @@ def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, fl
             yield _record(spec, tail[lane, :n_rec], at_step, (x, y)), lam1[lane]
 
 
-def bifurcation_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
+def bifurcation_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate orbit tail, period label and lambda1 at every grid value.
 
     Output ordering is by grid index; escape at a point is recorded in
-    place and never aborts the sweep.  workers is accepted for
-    compatibility (it must be >= 1) and changes nothing.
+    place and never aborts the sweep.
     """
-    if workers is not None:
-        check_count("workers", workers, 1)
     with _kernels.sized_by("n_points", spec.n_points):
         grid = grid_values(spec.lo, spec.hi, spec.n_points)
     params = [replace(spec.base, **{spec.parameter: v}) for v in grid]
@@ -208,14 +205,11 @@ def bifurcation_table(result: SweepResult) -> tuple[list[str], list[np.ndarray]]
     return ["param", "n", "x", "y", "period", "lambda1"], [param, n, x, y, period, lambda1]
 
 
-def chaos_grid(spec: ChaosGridSpec, workers: int | None = None) -> ChaosGridResult:
+def chaos_grid(spec: ChaosGridSpec) -> ChaosGridResult:
     """lambda1 plus period label over the (c2, c3) plane at fixed r2 values.
 
-    Cells are ordered (r2 outer, c2 middle, c3 inner).  workers is
-    accepted for compatibility (it must be >= 1) and changes nothing.
+    Cells are ordered (r2 outer, c2 middle, c3 inner).
     """
-    if workers is not None:
-        check_count("workers", workers, 1)
     with _kernels.sized_by("c2_points", spec.c2_points):
         c2_grid = grid_values(spec.c2_lo, spec.c2_hi, spec.c2_points)
     with _kernels.sized_by("c3_points", spec.c3_points):

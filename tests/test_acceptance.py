@@ -432,62 +432,53 @@ def bitwise_equal_sweeps(a, b):
     return True
 
 
-def test_criterion_8_determinism_across_workers_and_runs(tmp_path):
+def test_criterion_8_determinism_across_runs_and_grid_sizes(tmp_path):
     spec = ek.SweepSpec(
         base=REF_BASE, parameter="r2", lo=2.8, hi=4.0, n_points=41,
         s0=S0, n_transient=300, n_record=50, n_lyap=3000,
     )
-    ref = ek.bifurcation_sweep(spec, workers=1)
-    for w in (2, 4):
-        assert bitwise_equal_sweeps(ref, ek.bifurcation_sweep(spec, workers=w))
+    ref = ek.bifurcation_sweep(spec)
+    assert bitwise_equal_sweeps(ref, ek.bifurcation_sweep(spec))
+    # A point's result depends only on its value: the 2-point sweep over
+    # grid[i], grid[i + 1] (linspace keeps both endpoints exact) repeats
+    # points i and i + 1 of the 41-point sweep bit for bit.
+    for i in (0, 20, 39):
+        pair = ek.bifurcation_sweep(replace(spec, lo=ref.grid[i], hi=ref.grid[i + 1], n_points=2))
+        part = replace(ref, grid=ref.grid[i : i + 2], points=ref.points[i : i + 2])
+        assert bitwise_equal_sweeps(pair, part)
 
     gspec = ek.ChaosGridSpec(
         base=replace(REF_BASE, r2=3.9), c2_lo=0.1, c2_hi=0.9, c2_points=5,
         c3_lo=0.1, c3_hi=0.9, c3_points=5, r2_values=(3.9,), s0=S0,
         n_transient=300, n_record=50, n_lyap=3000,
     )
-    gref = ek.chaos_grid(gspec, workers=1)
-    for w in (2, 4):
-        assert ek.chaos_grid(gspec, workers=w).cells == gref.cells
-
-    cfg = tmp_path / "config.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "r2": 3.5,
-                "budgets": {"transient": 200, "record": 40, "lyap": 1500},
-                "sweep": {"points": 7, "lyap": 800},
-                "grid": {
-                    "c2_points": 3, "c3_points": 3, "r2_values": [3.9], "lyap": 800,
-                },
-            }
+    gref = ek.chaos_grid(gspec)
+    assert ek.chaos_grid(gspec).cells == gref.cells
+    # The 2x2 sub-grid at (i, j) repeats the matching cells of the 5x5 grid.
+    c2s, c3s = gref.c2_grid, gref.c3_grid
+    for i, j in ((0, 0), (2, 1), (3, 3)):
+        sub = ek.chaos_grid(
+            replace(gspec, c2_lo=c2s[i], c2_hi=c2s[i + 1], c2_points=2,
+                    c3_lo=c3s[j], c3_hi=c3s[j + 1], c3_points=2)
         )
-    )
-    produced = {}
-    for cmd, files in (
-        ("bifurcate", ("bifurcation.csv", "bifurcation.svg")),
-        ("chaos-grid", ("chaos_grid.csv", "chaos_grid.svg")),
-    ):
+        assert sub.cells == tuple(gref.cells[5 * a + b] for a in (i, i + 1) for b in (j, j + 1))
+
+    budgets = {"transient": 200, "record": 40, "lyap": 1500}
+    grid = {"c2_points": 3, "c3_points": 3, "r2_values": [3.9], "lyap": 800}
+    doc = {"r2": 3.5, "budgets": budgets, "sweep": {"points": 7, "lyap": 800}, "grid": grid}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    for cmd, stem in (("bifurcate", "bifurcation"), ("chaos-grid", "chaos_grid")):
         digests = []
         for run_id in ("a", "b"):
             out = tmp_path / f"{cmd}-{run_id}"
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "ecokmap", cmd,
-                    "--config", str(cfg), "--out", str(out), "--plot",
-                ],
-                capture_output=True,
-                text=True,
-            )
+            argv = ["-m", "ecokmap", cmd, "--config", str(cfg), "--out", str(out), "--plot"]
+            proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            digests.append({f: (out / f).read_bytes() for f in files})
+            digests.append([(out / f"{stem}.{ext}").read_bytes() for ext in ("csv", "svg")])
         assert digests[0] == digests[1]
-        produced[cmd] = digests[0]
-    ok(
-        8,
-        "sweep and grid bitwise identical for 1/2/4 workers; "
-        "CLI outputs byte-identical across two subprocess runs",
-    )
+    ok(8, "sweep and grid bitwise identical across runs and against 2-point sweeps and "
+          "2x2 sub-grids; CLI outputs byte-identical across two subprocess runs")
 
 
 def test_criterion_9_io_round_trips(tmp_path):

@@ -430,3 +430,15 @@ class TestDeterminism:
             outs.append(out)
         for fname in ("bifurcation.csv", "bifurcation.svg"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("command", ["bifurcate", "chaos-grid"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_workers_flag_changes_no_byte(self, config_path, tmp_path, capsys, command, workers):
+        # The values the benchmark harness passes: accepted, and ignored.
+        grid = {"c2_points": 3, "c3_points": 3, "lyap": 1000}
+        cfg = config_path(dict(BASE, sweep={"points": 5, "lyap": 1000}, grid=grid))
+        out, runs = tmp_path / "o", []
+        for flag in ([], ["--workers", workers]):
+            assert run(command, "--config", cfg, "--out", str(out), "--plot", *flag) == 0
+            runs.append(({f.name: f.read_bytes() for f in out.iterdir()}, capsys.readouterr().out))
+        assert runs[0] == runs[1] and len(runs[0][0]) == 2

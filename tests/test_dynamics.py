@@ -21,8 +21,7 @@ from ecokmap.dynamics import (
     step,
 )
 from ecokmap.lyapunov import LyapunovResult, lambda_series, lyapunov_spectrum
-from ecokmap.orbit import iterate
-from ecokmap.sweep import SweepSpec, bifurcation_sweep
+from ecokmap.orbit import detect_period, iterate
 
 rates = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 coeffs = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
@@ -163,7 +162,6 @@ class TestEigenvalues:
 
 P, S0 = ModelParams(3.0, 3.9, 1.8, 0.6, 0.6, 2.5), State(0.2, 0.1)
 RESULT = LyapunovResult(0.0, 0.0, np.zeros((1, 3)), 1, False)
-SPEC = SweepSpec(P, "r2", 3.8, 3.9, 2, S0)
 
 
 class TestValidation:
@@ -202,12 +200,12 @@ class TestValidation:
             (lambda: iterate(P, S0, 100, -5), "n_transient must be >= 0, got -5"),
             (lambda: lyapunov_spectrum(P, S0, 0, 2**63), "n_iter must be <= 2**63 - 1"),
             (lambda: lambda_series(RESULT, 2**64), "stride must be <= 2**63 - 1"),
-            (lambda: bifurcation_sweep(SPEC, workers=2**64), "workers must be <= 2**63 - 1"),
+            (lambda: detect_period(np.zeros((2, 2)), 0), "max_period must be >= 1, got 0"),
         ],
         ids=[
             "ModelParams-rate", "ModelParams-coupling", "State", "Jacobian2",
             "iterate-n_total", "iterate-n_transient", "lyapunov_spectrum-n_iter",
-            "lambda_series-stride", "bifurcation_sweep-workers",
+            "lambda_series-stride", "detect_period-max_period",
         ],
     )
     def test_message_starts_with_field_name(self, build, message):
