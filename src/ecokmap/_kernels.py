@@ -40,9 +40,9 @@ np.log never arises; where every norm is positive, as on a chaotic
 point, they take one np.log pass.  A run's reported exponents are the
 ordered, floored means of its two rows of logs, each summed by
 np.add.reduce, numpy's pairwise sum (rounding error growing as log n
-rather than n, as for a sequential add): lane_lambda1 takes them for
-each lane of a sweep block, lyapunov_kernel for one run, whose running
-series (np.cumsum's sequential sums) ends at them.
+rather than n, as for a sequential add).  lane_exponents alone takes
+them, for each lane of a sweep block and for lyapunov_kernel's one run,
+whose running series (np.cumsum's sequential sums) ends at them.
 
 The library also holds render_rows, the row renderer behind csvio's
 tables and svgplot's data elements: rows of a %-template ("%.17g",
@@ -494,23 +494,21 @@ def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, 
     return results
 
 
-def lane_lambda1(norms, n_used, floor):
-    """The largest exponent of each lane l from the norms of its first
-    n_used[l] steps, norms[0, l] and norms[1, l]; NaN where n_used[l] is 0.
-
-    norms has shape (2, >= k, n), k = len(n_used); each lane's norms over
-    [0, n_used[l]) are overwritten with their logs, and no other value is
-    touched.  Each value is bitwise lyapunov_kernel's lambda1 on the same
-    norms: the same logs (np.log, one call per lane), the same pairwise
-    sums (np.add.reduce along each of the lane's two rows) and the same
-    ordering."""
+def lane_exponents(norm1, norm2, n_used, floor):
+    """The ordered, floored pair (lambda1, lambda2) of each lane l, as two
+    arrays, from the norms of its first n_used[l] steps, norm1[l] and
+    norm2[l]; NaN where n_used[l] is 0.  norm1 and norm2 have shape
+    (>= k, n), k = len(n_used), as point_lanes writes them.  Each lane's
+    window is overwritten with its logs, and no other value is touched;
+    each row of logs is summed by np.add.reduce and divided by n_used[l]."""
     sums = np.full((2, len(n_used)), math.nan)
     for lane, used in enumerate(n_used):
         if used:
-            logs = norms[:, lane, :used]
-            _log_norms(logs)
-            sums[:, lane] = np.add.reduce(logs, axis=1)
-    return _ordered(*(sums / n_used), floor)[0].tolist()
+            for row, norms in zip(sums, (norm1, norm2)):
+                logs = norms[lane, :used]
+                _log_norms(logs)
+                row[lane] = np.add.reduce(logs)
+    return _ordered(*(sums / n_used), floor)
 
 
 def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold, out):
@@ -535,11 +533,9 @@ def lyapunov_kernel(
     and the area the Jacobian spans over it (see the module docstring).
 
     The point loop stores each step's two norms in lam1_series/lam2_series;
-    after it, their logs (LOG_ZERO for a norm that is not positive) are
-    accumulated and the running per-step means overwrite the buffers
-    (sorted so series 1 >= series 2, floored at `floor`).  The returned
-    pair is the ordered, floored means of the logs' pairwise sums
-    (np.add.reduce), and the last entries of the series are set to it.
+    lane_exponents turns them into logs and the returned pair, then the
+    logs' running per-step means overwrite the buffers (sorted so series
+    1 >= series 2, floored at `floor`), their last entries set to the pair.
     Returns (lambda1, lambda2, n_used, escaped, at_step).
     """
     ((_, n_used, at_step, _, _),) = point_lanes(
@@ -548,14 +544,12 @@ def lyapunov_kernel(
     )
     if n_used == 0:
         return 0.0, 0.0, 0, at_step > 0, at_step
+    (lam1,), (lam2,) = lane_exponents(lam1_series[None], lam2_series[None], [n_used], floor)
     steps = np.arange(1, n_used + 1)
     s1, s2 = lam1_series[:n_used], lam2_series[:n_used]
-    means = []
     for s in (s1, s2):
-        _log_norms(s)
-        means.append(np.add.reduce(s) / n_used)
         np.cumsum(s, out=s)
         s /= steps
     s1[:], s2[:] = _ordered(s1, s2, floor)
-    lam1, lam2 = s1[-1], s2[-1] = _ordered(*means, floor)
+    s1[-1], s2[-1] = lam1, lam2
     return lam1, lam2, n_used, at_step > 0, at_step

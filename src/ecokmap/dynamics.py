@@ -229,20 +229,22 @@ def eigenvalues_2x2(j: Jacobian2) -> tuple[complex, complex]:
     (a+bi, a-bi) with b > 0).  The real case uses the numerically stable
     form of the quadratic formula (larger root first, smaller as det/root)
     to keep the product of the eigenvalues faithful to the determinant.
-    A triangular matrix (the decoupled map's Jacobian) returns its diagonal
-    as is: the quadratic would lose ~1e-12 to cancellation when the two
-    diagonal entries nearly coincide.
+    Where a12*a21 >= 0 (every triangular matrix, and the map's Jacobian at
+    every feasible state) the discriminant is (a11 - a22)^2 + 4*a12*a21,
+    which cannot cancel as tr^2 - 4*det does for nearly repeated roots;
+    elsewhere tr^2 - 4*det keeps the roots' sum and product consistent.
     """
-    tr = j.trace
-    det = j.det
-    disc = tr * tr - 4.0 * det
-    # Below the cancellation noise of tr^2 - 4*det the sign of the
-    # discriminant is not resolvable in double precision; a near-repeated
-    # root would otherwise acquire a spurious ~1e-9 imaginary part.
-    noise = 4.0 * 2.220446049250313e-16 * (tr * tr + 4.0 * abs(det))
-    if j.a12 == 0.0 or j.a21 == 0.0:
-        e1, e2 = complex(j.a11), complex(j.a22)
-    elif abs(disc) <= noise:
+    tr, det = j.trace, j.det
+    off = 4.0 * j.a12 * j.a21
+    if off >= 0.0:
+        d = j.a11 - j.a22
+        disc = scale = d * d + off
+    else:
+        disc, scale = tr * tr - 4.0 * det, tr * tr + 4.0 * abs(det)
+    # Below its rounding noise the sign of the discriminant is not
+    # resolvable in double precision; a near-repeated root would otherwise
+    # acquire a spurious ~1e-9 imaginary part.
+    if abs(disc) <= 4.0 * 2.220446049250313e-16 * scale:
         e1 = e2 = complex(0.5 * tr)
     elif disc > 0.0:
         s = math.sqrt(disc)

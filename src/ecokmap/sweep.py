@@ -5,7 +5,7 @@ Lyapunov exponent) runs the point loop, which iterates its transient once
 and then records the tail and the frame norms in shared steps.  Points
 go through _kernels.point_lanes in blocks of _kernels.LANES, which the
 compiled loop advances in lockstep; each block's lambda1 values come
-from its norms through _kernels.lane_lambda1.  A point's result
+from its norms through _kernels.lane_exponents.  A point's result
 depends only on its own inputs, so results are bitwise identical
 whatever the grid size, point order or lane slot;
 tests/test_lanes.py pins each point against iterate + lyapunov_spectrum
@@ -101,8 +101,9 @@ def _record(spec, tail: np.ndarray, at_step: int, last: tuple[float, float]) -> 
         return OrbitRecord(spec.s0, spec.n_transient, tail, outcome)
     transient_len = spec.n_transient
     if len(tail) == 0 and at_step > 1:
-        # Escape during the transient: keep the last pre-escape state as a
-        # single marker row so output carries a marker instead of a blank gap.
+        # Escape during the transient after step 1: keep the last pre-escape
+        # state as a single marker row so output carries a marker instead of
+        # a blank gap.  At step 1 that state is the start: no row is kept.
         transient_len, tail = at_step - 2, np.array([last])
     return OrbitRecord(spec.s0, transient_len, tail, Escaped(at_step))
 
@@ -125,7 +126,7 @@ def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, fl
             ESCAPE_THRESHOLD, tail, *norms,
         )
         n_used = [n if n >= MIN_STEPS else 0 for _, n, *_ in runs]
-        lam1 = _kernels.lane_lambda1(norms, n_used, LAMBDA_FLOOR)
+        lam1 = _kernels.lane_exponents(*norms, n_used, LAMBDA_FLOOR)[0].tolist()
         for lane, (n_rec, _, at_step, x, y) in enumerate(runs):
             yield _record(spec, tail[lane, :n_rec], at_step, (x, y)), lam1[lane]
 

@@ -5,10 +5,11 @@ tests: central finite differences for the Jacobian, numpy's polynomial
 root finder for eigenvalues.
 """
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from ecokmap.dynamics import (
@@ -146,6 +147,10 @@ class TestEigenvalues:
 
     @given(matrices_st)
     @settings(max_examples=300)
+    # a12*a21 < 0: taking (a11 - a22)^2 + 4*a12*a21 here breaks the sum.
+    @example(Jacobian2(1e6, 1e6, -988106.1875, -988106.1859860612))
+    # a12*a21 > 0, roots 1e-6 apart: tr^2 - 4*det cancels here.
+    @example(Jacobian2(0.7000002999999999, 0.3, 5.333333333333333e-13, 0.6999997))
     def test_trace_and_det_identities(self, j):
         e1, e2 = eigenvalues_2x2(j)
         tr, det = j.trace, j.det
@@ -153,6 +158,22 @@ class TestEigenvalues:
         assert abs((e1 + e2).real - tr) <= 1e-12 * scale
         assert abs((e1 + e2).imag) <= 1e-12 * scale
         assert abs(e1 * e2 - det) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3])
+    def test_coupled_near_repeated_roots_against_decimal_oracle(self, gap):
+        # Roots 0.7 +- gap/2 with a12*a21 > 0, as the map's Jacobian has at
+        # every feasible state: tr^2 - 4*det would cancel, leaving each root
+        # about eps*tr^2/gap off.  The oracle takes the float entries exactly.
+        d, a12 = 0.6 * gap, 0.3
+        j = Jacobian2(0.7 + d / 2, a12, (gap * gap - d * d) / (4 * a12), 0.7 - d / 2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a11, a12, a21, a22 = map(Decimal, (j.a11, j.a12, j.a21, j.a22))
+            s = ((a11 - a22) ** 2 + 4 * a12 * a21).sqrt()
+            want = [(a11 + a22 + s) / 2, (a11 + a22 - s) / 2]
+            for e, w in zip(eigenvalues_2x2(j), want):
+                assert e.imag == 0.0
+                assert abs(Decimal(e.real) - w) <= Decimal("1e-14") * w
 
     @given(matrices_st)
     def test_ordering_by_modulus(self, j):

@@ -414,8 +414,8 @@ class TestLogNorms:
     )
     @settings(max_examples=300, deadline=None)
     def test_views_match_elementwise_logs(self, values, lane):
-        # A (2, n) view of lane `lane` in a (2, 3, width) buffer, as
-        # lane_lambda1 takes it; the other values must stay SENTINEL.
+        # A (2, n) view of lane `lane` in a (2, 3, width) buffer, a sweep
+        # block's norm layout; the other values must stay SENTINEL.
         n = len(values) // 2
         buf = np.full((2, 3, n + 2), SENTINEL)
         view = buf[:, lane, :n]
@@ -428,7 +428,7 @@ class TestLogNorms:
 
 
 class TestLaneLambda1:
-    """lane_lambda1 on blocks whose lanes' windows differ, against a
+    """lane_exponents on blocks whose lanes' windows differ, against a
     per-lane oracle (the logs and np.add.reduce over the lane's own window
     only) and against lyapunov_kernel on the same norms."""
 
@@ -437,23 +437,25 @@ class TestLaneLambda1:
 
     @classmethod
     def oracle(cls, norms, n_used):
+        """Each lane's (lambda1, lambda2) as two rows: the larger and the
+        smaller mean of its two rows of logs, floored; NaN where n is 0."""
         want = []
         for lane, n in enumerate(n_used):
             if n == 0:
-                want.append(math.nan)
+                want.append((math.nan, math.nan))
                 continue
             means = [
                 np.add.reduce([np.log(v) if v > 0.0 else _kernels.LOG_ZERO for v in row[:n]]) / n
                 for row in norms[:, lane].tolist()
             ]
-            hi = max(means)
-            want.append(hi if hi > cls.FLOOR else cls.FLOOR)
-        return want
+            want.append([m if m > cls.FLOOR else cls.FLOOR for m in sorted(means, reverse=True)])
+        return np.array(want).T
 
     @classmethod
-    def kernel_lambda1(cls, norms, n):
-        """lyapunov_kernel's lambda1 on one lane's norms, norms[:, :n]: its
-        backend patched to lanes that write them as an n-step run's."""
+    def kernel_pair(cls, norms, n):
+        """lyapunov_kernel's (lambda1, lambda2) on one lane's norms,
+        norms[:, :n]: its backend patched to lanes that write them as an
+        n-step run's."""
 
         def lanes(params, x0, y0, n_tr, n_rec, n_lyap, threshold, tail, norm1, norm2):
             norm1[0], norm2[0] = norms[:, :n_lyap]
@@ -462,10 +464,10 @@ class TestLaneLambda1:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernels, "_loop", lambda: _kernels._Backend(lanes))
             s1, s2 = np.empty(n), np.empty(n)
-            lam1, *_ = _kernels.lyapunov_kernel(
+            lam1, lam2, *_ = _kernels.lyapunov_kernel(
                 *row(REF), 0.2, 0.1, 0, n, ESCAPE_THRESHOLD, cls.FLOOR, s1, s2
             )
-        return lam1
+        return lam1, lam2
 
     @pytest.mark.parametrize(
         "n_used",
@@ -484,7 +486,8 @@ class TestLaneLambda1:
     @pytest.mark.parametrize("backend", ["c", "python"])
     def test_mixed_windows_match_per_lane_sums(self, request, monkeypatch, backend, n_used):
         # Every value past a lane's window, and every value of the slots
-        # past k, is NaN: any that reached a sum would show.
+        # past k, is NaN: any that reached a sum would show.  The sums
+        # must not depend on which backend is selected.
         pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
         monkeypatch.setattr(_kernels, "_loop", lambda: pair)
         rng = np.random.default_rng(len(n_used) + sum(n_used))
@@ -494,17 +497,19 @@ class TestLaneLambda1:
         if n_used[0] > 2:
             norms[1, 0, 2] = 0.0  # a collapsed vector: the LOG_ZERO branch
         want = self.oracle(norms, n_used)
-        kernel = [self.kernel_lambda1(norms[:, lane], n) if n else math.nan
+        kernel = [self.kernel_pair(norms[:, lane], n) if n else (math.nan, math.nan)
                   for lane, n in enumerate(n_used)]
-        got = _kernels.lane_lambda1(norms, n_used, self.FLOOR)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert np.array(kernel).tobytes() == np.array(want).tobytes()
-        assert np.isnan(norms[:, :, max(n_used) :]).all()
+        got = _kernels.lane_exponents(*norms, n_used, self.FLOOR)
+        assert np.array(got).tobytes() == want.tobytes()
+        assert np.array(kernel).T.tobytes() == want.tobytes()
+        for lane in range(_kernels.LANES):
+            n = n_used[lane] if lane < len(n_used) else 0
+            assert np.isnan(norms[:, lane, n:]).all()
 
     @pytest.mark.parametrize("backend", ["c", "python"])
     def test_misaligned_rows_match_the_kernel(self, request, monkeypatch, backend):
         # An odd n_lyap starts every other lane's rows 8 bytes past a
-        # 16-byte boundary; each lane's lambda1 must still be bitwise a
+        # 16-byte boundary; each lane's pair must still be bitwise a
         # single lyapunov_kernel run of its point.
         pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
         monkeypatch.setattr(_kernels, "_loop", lambda: pair)
@@ -516,15 +521,15 @@ class TestLaneLambda1:
             [row(p) for p in points], 0.2, 0.1, n_tr, 0, n_lyap, ESCAPE_THRESHOLD,
             np.empty((len(points), 0, 2)), *norms,
         )
-        got = _kernels.lane_lambda1(norms, [n for _, n, *_ in runs], LAMBDA_FLOOR)
+        got = _kernels.lane_exponents(*norms, [n for _, n, *_ in runs], LAMBDA_FLOOR)
         want = []
         for p in points:
             s1, s2 = np.empty(n_lyap), np.empty(n_lyap)
-            lam1, *_ = _kernels.lyapunov_kernel(
+            lam1, lam2, *_ = _kernels.lyapunov_kernel(
                 *row(p), 0.2, 0.1, n_tr, n_lyap, ESCAPE_THRESHOLD, LAMBDA_FLOOR, s1, s2
             )
-            want.append(lam1)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+            want.append((lam1, lam2))
+        assert np.array(got).tobytes() == np.array(want).T.tobytes()
 
 
 class TestBackend:

@@ -172,7 +172,7 @@ class TestAgainstOracle:
                 p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, n_tr, n_lyap,
                 ESCAPE_THRESHOLD, floor, *series,
             )[0]
-            got.append(_kernels.lane_lambda1(norms, [n_lyap], floor)[0])
+            got.append(_kernels.lane_exponents(*norms, [n_lyap], floor)[0][0])
             assert bits(got[-1]) == bits(want)
         assert got[1] == _kernels.LOG_ZERO
 
