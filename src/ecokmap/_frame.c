@@ -20,34 +20,36 @@
  * -fno-trapping-math (a select may compute both its arms, since no
  * floating-point exception is observed).
  *
- * The block loop is compiled three ways, its lane width a constant each
- * time: point_loop_scalar (4 lanes, baseline ISA), avx2_blocks (4 lanes, a
- * target("avx2") attribute, never -march; AVX2 has no fused multiply-add)
- * and one_lane.  point_loop runs a one-lane call on one_lane, k >= 2 lanes
- * on avx2_blocks on a CPU with AVX2 (vector_loop() says whether it does)
+ * The block loop is built twice: point_loop_scalar on the baseline ISA and
+ * avx2_blocks with a target("avx2") attribute, never -march (AVX2 has no
+ * fused multiply-add).  point_loop runs every call, of any k, on
+ * avx2_blocks on a CPU with AVX2 (vector_loop() says whether it has it)
  * and on point_loop_scalar otherwise.  Each lane is bitwise a separate
- * k = 1 call on any of them. */
+ * k = 1 call on either. */
 #include <math.h>
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* Up to 4 lanes, one slot each: parameters, map state, the unit tangent
- * vector q1, the step's two norms, whether the lane is live (1: it has not
+/* The lanes of a block. */
+enum { W = 4 };
+
+/* W lanes, one slot each: parameters, map state, the unit tangent vector
+ * q1, the step's two norms, whether the lane is live (1: it has not
  * escaped) and the step at which it escaped.  A lane that escaped keeps
  * its last state; its q1 and norms are never read again. */
 struct block {
-    double r1[4], r2[4], c1[4], c2[4], c3[4], c4[4];
-    double x[4], y[4], q1x[4], q1y[4], n1[4], n2[4];
-    long long live[4], at[4];
+    double r1[W], r2[W], c1[W], c2[W], c3[W], c4[W];
+    double x[W], y[W], q1x[W], q1y[W], n1[W], n2[W];
+    long long live[W], at[W];
 };
 
-/* Map step s of the w lanes: a live lane whose new state escapes (either
+/* Map step s of the block: a live lane whose new state escapes (either
  * component beyond threshold, or NaN) keeps its state and escapes at s.
  * Returns whether any lane is still live. */
-INLINE int step(int w, struct block *b, double threshold, long long s)
+INLINE int step(struct block *b, double threshold, long long s)
 {
     long long any = 0;
-    for (int l = 0; l < w; l++) {
+    for (int l = 0; l < W; l++) {
         double x = b->x[l], y = b->y[l];
         double xn = x * b->r1[l] * (1.0 - b->c1[l] * x - b->c2[l] * y);
         double yn = y * b->r2[l] * (1.0 - b->c3[l] * x - b->c4[l] * y);
@@ -68,9 +70,9 @@ INLINE int step(int w, struct block *b, double threshold, long long s)
  * costs its own instructions, while a vector computes every slot at once.
  * q1 is read once and stored once, after the selects: a select whose else
  * arm re-reads the slot it stores to becomes a masked store. */
-INLINE void push(int w, int skip, struct block *b)
+INLINE void push(int skip, struct block *b)
 {
-    for (int l = 0; l < w; l++) {
+    for (int l = 0; l < W; l++) {
         if (skip && !b->live[l])
             continue;
         const double r1 = b->r1[l], r2 = b->r2[l], c1 = b->c1[l], c2 = b->c2[l];
@@ -97,22 +99,22 @@ INLINE void push(int w, int skip, struct block *b)
     }
 }
 
-/* The point loop of k lanes, w at a time (w and skip are constants once
+/* The point loop of k lanes, W at a time (skip is a constant once
  * inlined).  Lane l has parameters params[6l .. 6l+5] and starts from
  * (x0, y0); it writes only its own rows: tail[2 n_record l ..],
  * norm1[n_lyap l ..], norm2[n_lyap l ..], last[2l], last[2l+1] and
  * at_step[l].  The slots of a block past its last lane hold that block's
  * first lane, never live. */
-INLINE void blocks(int w, int skip, long long k, const double *params, double x0, double y0,
+INLINE void blocks(int skip, long long k, const double *params, double x0, double y0,
                    long long n_transient, long long n_record, long long n_lyap,
                    double threshold, double *tail, double *norm1, double *norm2,
                    double *last, long long *at_step)
 {
     long long n_post = n_record > n_lyap ? n_record : n_lyap;
-    for (long long g = 0; g < k; g += w) {
-        int n = k - g < w ? (int)(k - g) : w;
+    for (long long g = 0; g < k; g += W) {
+        int n = k - g < W ? (int)(k - g) : W;
         struct block b;
-        for (int l = 0; l < w; l++) {
+        for (int l = 0; l < W; l++) {
             const double *p = params + 6 * (g + (l < n ? l : 0));
             b.r1[l] = p[0], b.r2[l] = p[1], b.c1[l] = p[2];
             b.c2[l] = p[3], b.c3[l] = p[4], b.c4[l] = p[5];
@@ -122,10 +124,10 @@ INLINE void blocks(int w, int skip, long long k, const double *params, double x0
         }
         int live = 1;
         for (long long s = 1; s <= n_transient && live; s++)
-            live = step(w, &b, threshold, s);
+            live = step(&b, threshold, s);
         for (long long i = 0; i < n_post && live; i++) {
             if (i < n_lyap) {
-                push(w, skip, &b);
+                push(skip, &b);
                 for (int l = 0; l < n; l++) {
                     if (b.live[l]) {
                         norm1[(g + l) * n_lyap + i] = b.n1[l];
@@ -133,7 +135,7 @@ INLINE void blocks(int w, int skip, long long k, const double *params, double x0
                     }
                 }
             }
-            live = step(w, &b, threshold, n_transient + i + 1);
+            live = step(&b, threshold, n_transient + i + 1);
             for (int l = 0; l < n && i < n_record; l++) {
                 if (b.live[l]) {
                     tail[2 * ((g + l) * n_record + i)] = b.x[l];
@@ -156,16 +158,7 @@ void point_loop_scalar(long long k, const double *params, double x0, double y0,
                        double threshold, double *tail, double *norm1, double *norm2,
                        double *last, long long *at_step)
 {
-    blocks(4, 1, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
-           last, at_step);
-}
-
-/* One lane: the block loop with no other lane to wait for or compute. */
-static void one_lane(const double *params, double x0, double y0, long long n_transient,
-                     long long n_record, long long n_lyap, double threshold, double *tail,
-                     double *norm1, double *norm2, double *last, long long *at_step)
-{
-    blocks(1, 0, 1, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
+    blocks(1, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
            last, at_step);
 }
 
@@ -176,13 +169,12 @@ avx2_blocks(long long k, const double *params, double x0, double y0, long long n
             long long n_record, long long n_lyap, double threshold, double *tail,
             double *norm1, double *norm2, double *last, long long *at_step)
 {
-    blocks(4, 0, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
+    blocks(0, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
            last, at_step);
 }
 #endif
 
-/* 1 if point_loop runs k >= 2 lanes on the AVX2 loop, 0 if on
- * point_loop_scalar. */
+/* 1 if point_loop runs on the AVX2 loop, 0 if on point_loop_scalar. */
 int vector_loop(void)
 {
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -193,16 +185,11 @@ int vector_loop(void)
 #endif
 }
 
-/* point_loop_scalar's contract, on the loop that is fastest for k. */
+/* point_loop_scalar's contract, on the fastest loop this CPU runs. */
 void point_loop(long long k, const double *params, double x0, double y0,
                 long long n_transient, long long n_record, long long n_lyap, double threshold,
                 double *tail, double *norm1, double *norm2, double *last, long long *at_step)
 {
-    if (k == 1) {
-        one_lane(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
-                 last, at_step);
-        return;
-    }
 #if defined(__x86_64__) && defined(__GNUC__)
     if (vector_loop()) {
         avx2_blocks(k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1,
@@ -445,17 +432,11 @@ static int put_d(long long v, char *o)
 
 /* Rows start .. stop - 1 of the n slots and the closing literal post, at
  * out, as many whole rows as cap bytes hold.  Returns the row after the
- * last one written and sets *used to the bytes written.  A value with the
- * same bits as its column's value in the previous row of the call copies
- * that row's text. */
+ * last one written and sets *used to the bytes written. */
 long long render_rows(long long n, const struct slot *slots, const char *post,
                       long long post_len, long long start, long long stop, char *out,
                       long long cap, long long *used)
 {
-    struct {
-        u64 bits;
-        long long at, len;
-    } prev[n > 0 ? n : 1];
     long long pos = 0, row = start;
     for (; row < stop; row++) {
         long long row_at = pos;
@@ -473,10 +454,7 @@ long long render_rows(long long n, const struct slot *slots, const char *post,
             }
             memcpy(out + pos, sl->pre, (size_t)sl->pre_len);
             pos += sl->pre_len;
-            if (row > start && bits == prev[k].bits) {
-                len = prev[k].len;
-                memcpy(out + pos, out + prev[k].at, (size_t)len);
-            } else if (sl->kind == 's') {
+            if (sl->kind == 's') {
                 memcpy(out + pos, sl->text + sl->ends[bits], (size_t)len);
             } else if (sl->kind == 'd') {
                 len = put_d((long long)bits, out + pos);
@@ -485,7 +463,6 @@ long long render_rows(long long n, const struct slot *slots, const char *post,
                 memcpy(&v, &bits, sizeof v);
                 len = sl->kind == 'f' ? put_f(v, out + pos) : put_g(v, out + pos);
             }
-            prev[k].bits = bits, prev[k].at = pos, prev[k].len = len;
             pos += len;
         }
         if (cap - pos < post_len) {

@@ -24,15 +24,14 @@ sqrt and fabs in the same order, so they give the same bits;
 tests/test_kernels.py pins this.  The compiled loop advances its lanes in
 lockstep, so the core overlaps their chains of a square root and two
 divisions per step; each lane is bitwise a one-lane call.  _frame.c
-writes it once, over blocks of up to four lanes, each step two passes
-(push, map step), and compiles it three ways: point_loop_scalar (the
-baseline ISA), an AVX2 instance, where GCC turns each pass over a block
-into one vector operation per quantity, so one vector square root or
-division serves all four lanes, and a one-lane instance.  point_loop runs
-a one-lane call on the one-lane instance, and a call of k >= 2 lanes on
-the AVX2 instance where the CPU has AVX2 (chosen at run time, so _FLAGS
-and the cache key name no CPU), else on point_loop_scalar.  lane_loop()
-says which loop runs k >= 2 lanes; backend() says only "c" or "python".
+writes it once, over blocks of four lanes, each step two passes (push,
+map step), and compiles it twice: point_loop_scalar (the baseline ISA)
+and an AVX2 instance, where GCC turns each pass over a block into one
+vector operation per quantity, so one vector square root or division
+serves all four lanes.  point_loop runs every call, of any k, on the
+AVX2 instance where the CPU has AVX2 (chosen at run time, so _FLAGS and
+the cache key name no CPU), else on point_loop_scalar.  lane_loop() says
+which loop runs; backend() says only "c" or "python".
 
 The logs of the norms (LOG_ZERO for a norm that is not positive) are
 taken afterwards with np.log on either backend, so math.log against
@@ -436,10 +435,10 @@ def backend() -> str:
 
 
 def lane_loop() -> str:
-    """Which loop runs a point_lanes call of k >= 2 lanes: "avx2" (the
-    compiled loop's AVX2 instance), "scalar" (point_loop_scalar, on a CPU
-    without AVX2) or "python".  A one-lane call runs the one-lane
-    instance on either CPU.  Loads the compiled loop, as backend() does."""
+    """Which loop runs every point_lanes call, of any lane count: "avx2"
+    (the compiled loop's AVX2 instance), "scalar" (point_loop_scalar, on a
+    CPU without AVX2) or "python".  Loads the compiled loop, as backend()
+    does."""
     lib = _loop().lib
     if lib is None:
         return "python"

@@ -10,9 +10,12 @@ stability_report as a cross-check rather than used as the criterion.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .dynamics import ModelParams, State, eigenvalues_2x2, jacobian, step
+from .dynamics import (
+    Jacobian2, ModelParams, NonFiniteStepError, State, eigenvalues_2x2, jacobian_xy, step,
+)
 
 __all__ = [
     "Family",
@@ -84,10 +87,17 @@ def _classify(eigs: tuple[complex, complex], tol: float = CLASSIFICATION_TOL) ->
 
 
 def _make_point(p: ModelParams, x: float, y: float, family: Family) -> FixedPoint:
-    loc = State(x, y)
-    eigs = eigenvalues_2x2(jacobian(p, loc))
+    """The fixed point of family at (x, y).  Raises NonFiniteStepError
+    where the closed-form location or a Jacobian entry there overflowed."""
+    entries = jacobian_xy(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, x, y)
+    if not all(map(math.isfinite, (x, y, *entries))):
+        raise NonFiniteStepError(
+            f"{family.value} fixed point at ({x!r}, {y!r}) overflows: "
+            "its location or Jacobian is not finite"
+        )
+    eigs = eigenvalues_2x2(Jacobian2(*entries))
     return FixedPoint(
-        location=loc,
+        location=State(x, y),
         family=family,
         eigenvalues=eigs,
         classification=_classify(eigs),

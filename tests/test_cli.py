@@ -82,6 +82,27 @@ class TestFixedPoints:
         assert "attracting" in origin_line
         assert "row 1: true" in origin_line
 
+    @pytest.mark.parametrize(
+        "doc, family",
+        [
+            ({"r2": 3.0, "c1": 5e-324}, "boundary_x"),  # x* overflows
+            ({"r2": 3.0, "c4": 5e-324}, "boundary_y"),  # y* overflows
+            ({"r2": 3.0, "c1": 2e-308, "c2": 10}, "boundary_x"),  # a12 overflows
+        ],
+        ids=["x-star", "y-star", "a12"],
+    )
+    def test_overflowing_point_is_3_not_a_config_error(
+        self, config_path, tmp_path, capsys, doc, family
+    ):
+        # A valid config whose closed-form point overflows is a runtime
+        # failure, as where the residual's step overflows (c1 = 1e-308).
+        out = tmp_path / "o"
+        assert run("fixed-points", "--config", config_path(doc), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ecokmap: {family} fixed point at (") and err.count("\n") == 1
+        assert "invalid configuration" not in err
+        assert not out.exists()
+
 
 class TestBifurcate:
     def test_csv_schema_and_row_count(self, config_path, tmp_path):

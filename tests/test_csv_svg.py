@@ -263,10 +263,9 @@ class TestCsvTemplates:
         assert not path.exists()
 
 
-# Floats whose bytes or formatting are easy to get wrong when text is
-# copied between rows with the same bits or formatted in C: signed zeros, a
-# NaN with its sign bit set (written "nan", where glibc writes "-nan"),
-# both infinities and the smallest subnormal.
+# Floats whose bytes or formatting are easy to get wrong when formatted in
+# C: signed zeros, a NaN with its sign bit set (written "nan", where glibc
+# writes "-nan"), both infinities and the smallest subnormal.
 NEG_NAN = -math.nan
 SPECIAL_FLOATS = [0.0, -0.0, NEG_NAN, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1 / 3]
 
@@ -292,9 +291,8 @@ def repeating(pool, n_rows, rng):
 
 
 class TestRepeatedFloats:
-    """Columns whose values repeat: the compiled renderer copies a value's
-    text from the previous row where the bits are the same, and the bytes
-    must still be csv.writer + format_value's."""
+    """Columns whose values repeat, in runs and scattered: the bytes must
+    be csv.writer + format_value's."""
 
     def test_signed_zeros_and_nans_keep_their_text(self):
         assert math.copysign(1.0, NEG_NAN) == -1.0
@@ -322,7 +320,7 @@ class TestRepeatedFloats:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("order", ["runs", "scattered"])
     def test_repeats_same_bytes_as_reference(self, kind, order):
-        # In runs, every row but a run's first copies the row before it;
+        # In runs, every row but a run's first repeats the row before it;
         # scattered, a value's rows are rarely neighbours.
         n_rows = len(SPECIAL_FLOATS) * 4
         rows = repeating(SPECIAL_FLOATS, n_rows, np.random.default_rng(1))
@@ -346,7 +344,7 @@ class TestRepeatedFloats:
         assert render_csv(["x", "n"], columns) == reference_csv(["x", "n"], columns)
 
     def test_chunk_boundaries(self, tmp_path, monkeypatch):
-        # A chunk's first row never copies from the chunk before it.
+        # Runs of repeated values cross the chunk boundaries.
         monkeypatch.setattr(csvio, "CHUNK_ROWS", 7)
         rng = np.random.default_rng(2)
         for n_rows in (0, 6, 7, 49, 50):
@@ -454,9 +452,8 @@ class TestSvgAgainstScalarReference:
 
 
 class TestRepeatedPoints:
-    """Plots whose points repeat: the compiled renderer copies a coordinate's
-    text from the previous point where the bits are the same, and the bytes
-    must still be the scalar reference's."""
+    """Plots whose points repeat, in runs and scattered: the bytes must be
+    the scalar reference's."""
 
     @pytest.mark.parametrize("kind", ["scatter", "line"])
     def test_special_coordinates_same_bytes_as_reference(self, kind):
@@ -525,16 +522,6 @@ class TestSpan:
         assert [(v, math.copysign(1.0, v)) for v in got] == [
             (v, math.copysign(1.0, v)) for v in expected
         ]
-
-
-@pytest.fixture(scope="module")
-def compiled():
-    """The compiled library's backend; the tests that need it skip without
-    a C compiler."""
-    pair = _kernels._loop()
-    if pair.lib is None:
-        pytest.skip("no C compiler: the compiled renderer is not available")
-    return pair
 
 
 def compiled_rows(template, columns, chunk=4096) -> str:

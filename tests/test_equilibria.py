@@ -4,12 +4,14 @@ Oracles: an independent 2x2 linear solve (numpy) for the interior point,
 the map residual for every returned point, and long-run iteration for the
 classification claims.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
-from ecokmap.dynamics import ModelParams, State, jacobian, step
+from ecokmap.dynamics import ModelParams, NonFiniteStepError, State, jacobian, step
 from ecokmap.equilibria import (
     Classification,
     Family,
@@ -82,6 +84,24 @@ class TestFamilies:
         p = ModelParams(3, 3, 1, 1, 1, 1)  # c1*c4 - c2*c3 = 0
         assert interior_is_degenerate(p)
         assert Family.INTERIOR not in {fp.family for fp in fixed_points(p)}
+
+    @pytest.mark.parametrize(
+        "p, family, location",
+        [
+            (ModelParams(3, 3, 5e-324, 0.1, 0.6, 2.5), Family.BOUNDARY_X, "(inf, 0.0)"),
+            (ModelParams(3, 3, 1.8, 0.1, 0.6, 5e-324), Family.BOUNDARY_Y, "(0.0, inf)"),
+            # x* = 2 / 6e-308 is finite; a12 = -r1 c2 x* is not.
+            (
+                ModelParams(3, 3, 2e-308, 10, 0.6, 2.5), Family.BOUNDARY_X,
+                "(3.3333333333333337e+307, 0.0)",
+            ),
+        ],
+        ids=["x-star", "y-star", "a12"],
+    )
+    def test_overflowing_point_raises_non_finite_step(self, p, family, location):
+        want = re.escape(f"{family.value} fixed point at {location}")
+        with pytest.raises(NonFiniteStepError, match=want):
+            fixed_points(p)
 
     def test_infeasible_points_flagged_not_dropped(self):
         p = ModelParams(0.5, 0.5, 1, 0, 0, 1)

@@ -4,12 +4,11 @@ The compiled lanes, at every lane count k from 1, run against k separate
 _py_loop calls on the same arguments; every output (escape step, last
 finite state, tail rows, norm pairs) must agree bit for bit, and neither
 may write outside its windows.  Each such class runs on both C entries:
-as written on point_loop, whose one-lane calls take the one-lane instance
-of the loop and whose calls of k >= 2 lanes take the AVX2 instance on a
-CPU that has it, and through OnScalarLoop on point_loop_scalar, the
-instance of CPUs without AVX2.  The loader tests point _kernels at an
-empty cache in a temporary directory and resolve the backend anew, so
-they never touch the package's own cache.
+as written on point_loop, whose calls of any k take the AVX2 instance of
+the loop on a CPU that has it, and through OnScalarLoop on
+point_loop_scalar, the instance of CPUs without AVX2.  The loader tests
+point _kernels at an empty cache in a temporary directory and resolve
+the backend anew, so they never touch the package's own cache.
 """
 import functools
 import math
@@ -45,15 +44,6 @@ def escaping_at(k: int) -> ModelParams:
     """From ESCAPE_S0, x stays 0.5 and y is multiplied by -r2 each step, so
     this member of the family escapes at step k (k >= 16)."""
     return ModelParams(2, 1e9 ** (1 / (k - 0.5)), 1, 0, 4, 0)
-
-
-@pytest.fixture(scope="module")
-def compiled():
-    """The compiled backend, its lanes on point_loop."""
-    pair = _kernels._loop()
-    if pair is _kernels._PYTHON:
-        pytest.skip("no C compiler: the compiled point loop is not available")
-    return pair
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +124,8 @@ class TestCompiledAgainstPython:
 
     @pytest.mark.parametrize("p, s0, n_tr, n_rec, n_lyap, at_step", CASES)
     def test_engineered_cases_in_a_block(self, lanes, p, s0, n_tr, n_rec, n_lyap, at_step):
-        # Two lanes take point_loop's AVX2 loop where there is one; the case
-        # sits in each slot, beside the chaotic point.
+        # The case sits in each slot of a two-lane block, beside the
+        # chaotic point.
         for slot in (0, 1):
             rows = [row(REF)]
             rows.insert(slot, row(p))

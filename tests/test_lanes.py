@@ -78,15 +78,6 @@ def escape_step(p, s0, limit):
     return out.at_step if isinstance(out, Escaped) else None
 
 
-@pytest.fixture(scope="module")
-def compiled():
-    """The compiled backend."""
-    pair = _kernels._loop()
-    if pair is _kernels._PYTHON:
-        pytest.skip("no C compiler: the compiled point loop is not available")
-    return pair
-
-
 class TestAgainstOracle:
     """On the compiled point loop; TestAgainstOracleOnPython reruns every
     case on the Python loop."""
@@ -241,6 +232,10 @@ class TestPointIndependence:
         ModelParams(2.5, 4.0, 1, 0, 0, 1),
     ]
 
+    @pytest.fixture(autouse=True)
+    def kernel_loop(self, monkeypatch, compiled):
+        monkeypatch.setattr(_kernels, "_loop", lambda: compiled)
+
     def test_alone_batched_and_reordered_agree(self):
         # Points share one tail and one norm buffer; whatever ran before
         # a point must not show in its result.
@@ -253,12 +248,12 @@ class TestPointIndependence:
             assert bits(b[1]) == bits(a[1]) == bits(c[1])
 
     @pytest.mark.parametrize("backend", ["c", "python"])
-    def test_every_point_in_every_lane_slot(self, request, monkeypatch, backend):
+    def test_every_point_in_every_lane_slot(self, monkeypatch, backend):
         # Points run in blocks of LANES.  Rotating the list moves each point
         # through every slot of a block, beside different neighbours, and
         # the shorter prefixes end in partial blocks.
-        pair = request.getfixturevalue("compiled") if backend == "c" else _kernels._PYTHON
-        monkeypatch.setattr(_kernels, "_loop", lambda: pair)
+        if backend == "python":
+            monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
         spec = spec_for(ESCAPE_S0, 60, 30, 400)
         alone = [next(sweep._evaluate(spec, [p])) for p in self.PARAMS]
         n = len(self.PARAMS)
