@@ -7,24 +7,25 @@
  * with -ffp-contract=off (no fused multiply-add) and without -ffast-math
  * its results are bitwise those of the Python loop.
  *
- * point_loop runs k points (lanes) in lockstep, in blocks of up to 4.  One
+ * The point loop runs k points (lanes) in lockstep, in blocks of 4.  One
  * step of one point is a chain of a square root and two divisions that the
  * core must wait on; the lanes' chains are independent, so they run side
  * by side.  The block loop is written once, in plain C: each step is two
  * passes over the block's lanes (push, map step), a short stretch of every
  * lane's chain per pass, so neighbouring lanes' square roots and divisions
  * sit together in program order.  A branch of _py_loop is a ?: select, so
- * GCC vectorizes each pass: on AVX2 one vsqrtpd or vdivpd serves all four
- * lanes.  Two build flags let it and change no value: -fno-math-errno (sqrt
- * sets no errno, so needs no call for a negative operand) and
- * -fno-trapping-math (a select may compute both its arms, since no
- * floating-point exception is observed).
+ * GCC vectorizes each pass: on x86-64's baseline ISA (SSE2) one sqrtpd or
+ * divpd serves two lanes, on AVX2 one vsqrtpd or vdivpd all four.  Two build
+ * flags let it and change no value: -fno-math-errno (sqrt sets no errno,
+ * so needs no call for a negative operand) and -fno-trapping-math (a
+ * select may compute both its arms, since no floating-point exception is
+ * observed).
  *
- * The block loop is built twice: point_loop_scalar on the baseline ISA and
- * avx2_blocks with a target("avx2") attribute, never -march (AVX2 has no
- * fused multiply-add).  point_loop runs every call, of any k, on
- * avx2_blocks on a CPU with AVX2 (vector_loop() says whether it has it)
- * and on point_loop_scalar otherwise.  Each lane is bitwise a separate
+ * The block loop is built twice from that one source: point_loop_scalar on
+ * the baseline ISA and avx2_blocks with a target("avx2") attribute, never
+ * -march (AVX2 has no fused multiply-add).  _kernels._c_loop binds one of
+ * them when the library loads: avx2_blocks where vector_loop() says the
+ * CPU has AVX2, else point_loop_scalar.  Each lane is bitwise a separate
  * k = 1 call on either. */
 #include <math.h>
 
@@ -66,15 +67,13 @@ INLINE int step(struct block *b, double threshold, long long s)
 /* Push q1 through the Jacobian at the state and normalize it, keeping
  * its norm n1, and take n2, the area that the Jacobian's image of q1's
  * quarter turn spans over the new q1 (one NaN for any NaN: see _py_loop).
- * With skip set, lanes that escaped are left out: worth it where each lane
- * costs its own instructions, while a vector computes every slot at once.
- * q1 is read once and stored once, after the selects: a select whose else
- * arm re-reads the slot it stores to becomes a masked store. */
-INLINE void push(int skip, struct block *b)
+ * Every slot is computed, a lane that escaped too, so each quantity of the
+ * pass is one vector operation; blocks never writes an escaped lane's
+ * norms.  q1 is read once and stored once, after the selects: a select
+ * whose else arm re-reads the slot it stores to becomes a masked store. */
+INLINE void push(struct block *b)
 {
     for (int l = 0; l < W; l++) {
-        if (skip && !b->live[l])
-            continue;
         const double r1 = b->r1[l], r2 = b->r2[l], c1 = b->c1[l], c2 = b->c2[l];
         const double c3 = b->c3[l], c4 = b->c4[l], x = b->x[l], y = b->y[l];
         const double q1x = b->q1x[l], q1y = b->q1y[l];
@@ -99,13 +98,12 @@ INLINE void push(int skip, struct block *b)
     }
 }
 
-/* The point loop of k lanes, W at a time (skip is a constant once
- * inlined).  Lane l has parameters params[6l .. 6l+5] and starts from
- * (x0, y0); it writes only its own rows: tail[2 n_record l ..],
- * norm1[n_lyap l ..], norm2[n_lyap l ..], last[2l], last[2l+1] and
- * at_step[l].  The slots of a block past its last lane hold that block's
- * first lane, never live. */
-INLINE void blocks(int skip, long long k, const double *params, double x0, double y0,
+/* The point loop of k lanes, W at a time.  Lane l has parameters
+ * params[6l .. 6l+5] and starts from (x0, y0); it writes only its own
+ * rows: tail[2 n_record l ..], norm1[n_lyap l ..], norm2[n_lyap l ..],
+ * last[2l], last[2l+1] and at_step[l].  The slots of a block past its last
+ * lane hold that block's first lane, never live. */
+INLINE void blocks(long long k, const double *params, double x0, double y0,
                    long long n_transient, long long n_record, long long n_lyap,
                    double threshold, double *tail, double *norm1, double *norm2,
                    double *last, long long *at_step)
@@ -127,7 +125,7 @@ INLINE void blocks(int skip, long long k, const double *params, double x0, doubl
             live = step(&b, threshold, s);
         for (long long i = 0; i < n_post && live; i++) {
             if (i < n_lyap) {
-                push(skip, &b);
+                push(&b);
                 for (int l = 0; l < n; l++) {
                     if (b.live[l]) {
                         norm1[(g + l) * n_lyap + i] = b.n1[l];
@@ -151,30 +149,31 @@ INLINE void blocks(int skip, long long k, const double *params, double x0, doubl
     }
 }
 
-/* The block loop on the baseline ISA: point_loop's contract on any CPU.
- * Skipping escaped lanes pays here: GCC leaves these passes scalar. */
+/* The block loop on the baseline ISA, for any CPU. */
 void point_loop_scalar(long long k, const double *params, double x0, double y0,
                        long long n_transient, long long n_record, long long n_lyap,
                        double threshold, double *tail, double *norm1, double *norm2,
                        double *last, long long *at_step)
 {
-    blocks(1, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
-           last, at_step);
+    blocks(k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2, last,
+           at_step);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-/* The block loop built for AVX2: one vector per quantity of a block. */
-static __attribute__((target("avx2"))) void
+/* The block loop built for AVX2: one vector per quantity of a block.  Call
+ * it only where vector_loop() is 1. */
+__attribute__((target("avx2"))) void
 avx2_blocks(long long k, const double *params, double x0, double y0, long long n_transient,
             long long n_record, long long n_lyap, double threshold, double *tail,
             double *norm1, double *norm2, double *last, long long *at_step)
 {
-    blocks(0, k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2,
-           last, at_step);
+    blocks(k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2, last,
+           at_step);
 }
 #endif
 
-/* 1 if point_loop runs on the AVX2 loop, 0 if on point_loop_scalar. */
+/* 1 if this CPU runs avx2_blocks (built here, and the CPU has AVX2), else 0:
+ * which of the two builds _kernels._c_loop binds. */
 int vector_loop(void)
 {
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -183,22 +182,6 @@ int vector_loop(void)
 #else
     return 0;
 #endif
-}
-
-/* point_loop_scalar's contract, on the fastest loop this CPU runs. */
-void point_loop(long long k, const double *params, double x0, double y0,
-                long long n_transient, long long n_record, long long n_lyap, double threshold,
-                double *tail, double *norm1, double *norm2, double *last, long long *at_step)
-{
-#if defined(__x86_64__) && defined(__GNUC__)
-    if (vector_loop()) {
-        avx2_blocks(k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1,
-                    norm2, last, at_step);
-        return;
-    }
-#endif
-    point_loop_scalar(k, params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1,
-                      norm2, last, at_step);
 }
 
 /* render_rows: the data rows of csvio's tables and svgplot's plots.  A row

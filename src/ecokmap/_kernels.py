@@ -16,22 +16,23 @@ refuses a budget below 0 and a run of over 2**63 - 1 steps, which the C
 loop's step counters would wrap.  Its buffer checks sit above the
 backends, so both refuse the same inputs and neither checks again.
 
-A backend is a pair (lanes, lib): the compiled one wraps _frame.c's
-point_loop and keeps the loaded library; _PYTHON runs _py_loop, on plain
-Python floats (math.sqrt is correctly rounded, like C's sqrt), once per
-lane, and has no library.  Both use only + - * /,
-sqrt and fabs in the same order, so they give the same bits;
-tests/test_kernels.py pins this.  The compiled loop advances its lanes in
-lockstep, so the core overlaps their chains of a square root and two
-divisions per step; each lane is bitwise a one-lane call.  _frame.c
-writes it once, over blocks of four lanes, each step two passes (push,
-map step), and compiles it twice: point_loop_scalar (the baseline ISA)
-and an AVX2 instance, where GCC turns each pass over a block into one
-vector operation per quantity, so one vector square root or division
-serves all four lanes.  point_loop runs every call, of any k, on the
-AVX2 instance where the CPU has AVX2 (chosen at run time, so _FLAGS and
-the cache key name no CPU), else on point_loop_scalar.  lane_loop() says
-which loop runs; backend() says only "c" or "python".
+A backend is a triple (lanes, lib, loop): the compiled one wraps one
+build of _frame.c's block loop, keeps the loaded library and names the
+build it bound; _PYTHON runs _py_loop, on plain Python floats
+(math.sqrt is correctly rounded, like C's sqrt), once per lane, and has
+no library.  Both use only + - * /, sqrt and fabs in the same order, so
+they give the same bits; tests/test_kernels.py pins this.  The compiled
+loop advances its lanes in lockstep, so the core overlaps their chains
+of a square root and two divisions per step; each lane is bitwise a
+one-lane call.  _frame.c writes it once, over blocks of four lanes, each
+step two passes (push, map step), and compiles that one source twice:
+point_loop_scalar (the baseline ISA; on x86-64 GCC turns each pass into
+SSE2 operations on two lanes) and avx2_blocks (one AVX2 operation per
+quantity, so one vector square root or division serves all four lanes).
+_c_loop binds avx2_blocks where the CPU has AVX2 (asked once, when the
+library loads, so _FLAGS and the cache key name no CPU), else
+point_loop_scalar.  lane_loop() names the bound loop; backend() says
+only "c" or "python".
 
 The logs of the norms (LOG_ZERO for a norm that is not positive) are
 taken afterwards with np.log on either backend, so math.log against
@@ -199,24 +200,26 @@ def _py_loop(
 
 
 class _Backend(NamedTuple):
-    """A point loop's lanes, and the compiled library behind them (None
-    for the Python loop)."""
+    """A point loop's lanes, the compiled library behind them (None for
+    the Python loop) and the name of the loop they run: "avx2", "scalar"
+    or "python"."""
 
     lanes: Callable
     lib: Any = None
+    loop: str = "python"
 
 
-def _c_loop(lib, entry="point_loop"):
-    """The compiled backend: lanes around _frame.c's point_loop (or the
-    named entry with its signature, such as point_loop_scalar)."""
+def _c_loop(lib, entry=None):
+    """The compiled backend: lanes around the named entry of _frame.c
+    (avx2_blocks or point_loop_scalar); by default avx2_blocks where
+    lib.vector_loop() says the CPU has AVX2, else point_loop_scalar."""
     import ctypes
 
     dbl, ll, ptr = ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p
+    entry = entry or ("avx2_blocks" if lib.vector_loop() else "point_loop_scalar")
     fn = getattr(lib, entry)
     fn.argtypes = (ll, ptr, dbl, dbl, ll, ll, ll, dbl, ptr, ptr, ptr, ptr, ptr)
     fn.restype = None
-    lib.vector_loop.argtypes = ()
-    lib.vector_loop.restype = ctypes.c_int
     lib.render_rows.argtypes = (ll, ptr, ctypes.c_char_p, ll, ll, ll, ptr, ll, ptr)
     lib.render_rows.restype = ll
 
@@ -230,7 +233,7 @@ def _c_loop(lib, entry="point_loop"):
         )
         return [(at_step[l], last[2 * l], last[2 * l + 1]) for l in range(k)]
 
-    return _Backend(lanes, lib)
+    return _Backend(lanes, lib, "avx2" if entry == "avx2_blocks" else "scalar")
 
 
 def _py_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
@@ -431,18 +434,14 @@ def backend() -> str:
     """Which point loop runs: "c" (the compiled one) or "python".
 
     Loads the compiled loop, building it first if it is not cached."""
-    return "python" if _loop() is _PYTHON else "c"
+    return "python" if _loop().lib is None else "c"
 
 
 def lane_loop() -> str:
-    """Which loop runs every point_lanes call, of any lane count: "avx2"
-    (the compiled loop's AVX2 instance), "scalar" (point_loop_scalar, on a
-    CPU without AVX2) or "python".  Loads the compiled loop, as backend()
-    does."""
-    lib = _loop().lib
-    if lib is None:
-        return "python"
-    return "avx2" if lib.vector_loop() else "scalar"
+    """Which loop the backend bound, so runs every point_lanes call, of
+    any lane count: "avx2" (avx2_blocks), "scalar" (point_loop_scalar) or
+    "python".  Loads the compiled loop, as backend() does."""
+    return _loop().loop
 
 
 @contextlib.contextmanager

@@ -3,10 +3,10 @@
 The compiled lanes, at every lane count k from 1, run against k separate
 _py_loop calls on the same arguments; every output (escape step, last
 finite state, tail rows, norm pairs) must agree bit for bit, and neither
-may write outside its windows.  Each such class runs on both C entries:
-as written on point_loop, whose calls of any k take the AVX2 instance of
-the loop on a CPU that has it, and through OnScalarLoop on
-point_loop_scalar, the instance of CPUs without AVX2.  The loader tests
+may write outside its windows.  Each such class runs on both builds of
+the C block loop: as written on the loop the library bound when it
+loaded (avx2_blocks on a CPU that has AVX2), and through OnScalarLoop on
+point_loop_scalar, the build for CPUs without AVX2.  The loader tests
 point _kernels at an empty cache in a temporary directory and resolve
 the backend anew, so they never touch the package's own cache.
 """
@@ -529,16 +529,23 @@ class TestBackend:
         assert ecokmap.backend() == "c"
         monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
         assert ecokmap.backend() == "python"
+        # Any backend without a library runs Python lanes, not only _PYTHON.
+        monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._Backend(_kernels._py_lanes))
+        assert ecokmap.backend() == "python"
 
     def test_names_the_lane_loop(self, monkeypatch, compiled):
-        # On an x86-64 Linux CPU that lists avx2, a dispatch that falls
-        # back to the scalar loop fails here.
+        # On an x86-64 Linux CPU that lists avx2, a load that binds the
+        # scalar loop fails here.
         monkeypatch.setattr(_kernels, "_loop", lambda: compiled)
         loop = _kernels.lane_loop()
         assert loop == ("avx2" if compiled.lib.vector_loop() else "scalar")
         if sys.platform == "linux" and platform.machine() == "x86_64":
             flags = Path("/proc/cpuinfo").read_text().split()
             assert loop == ("avx2" if "avx2" in flags else "scalar")
+        # The loop that is bound, not the one the CPU could run.
+        scalar = _kernels._c_loop(compiled.lib, "point_loop_scalar")
+        monkeypatch.setattr(_kernels, "_loop", lambda: scalar)
+        assert _kernels.lane_loop() == "scalar"
         monkeypatch.setattr(_kernels, "_loop", lambda: _kernels._PYTHON)
         assert _kernels.lane_loop() == "python"
 

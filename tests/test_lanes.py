@@ -5,8 +5,8 @@ the orbit record (an orbit that escapes during its transient keeps its
 last finite state as a single marker row) and `lyapunov_spectrum` for
 lambda1, with EscapedTooEarly mapped to NaN.  The engine, which runs the
 fused point loop once per point, must reproduce its lambda1, tail and
-outcome bit for bit, on both compiled entries (point_loop, whose blocks
-take the AVX2 instance of the loop on a CPU that has it, and
+outcome bit for bit, on both compiled builds (the loop the library bound
+when it loaded, avx2_blocks on a CPU that has AVX2, and
 point_loop_scalar) and on the Python loop.
 
 Escape steps are placed with the engineered family of tests/test_orbit.py:
