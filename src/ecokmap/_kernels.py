@@ -8,10 +8,13 @@ vector q1 (initially (1, 0)) through the exact Jacobian J, renormalizes
 it and stores the two norms of each step: n1 = |J q1|, and n2 the area
 that J spans over q1's quarter turn, measured against the new q1 (the
 norm Gram-Schmidt gives its second vector, always perpendicular to q1 in
-2-D; n1 * n2 = |det J| where n1 > 0).  It stops at escape.  Its one
-entry, point_lanes, runs it for k points (lanes) at once: orbit_kernel
-is a one-lane call with n_lyap = 0, lyapunov_kernel one with
-n_record = 0, and sweep._evaluate runs LANES points per call.  It
+2-D; n1 * n2 = |det J| where n1 > 0).  It stops at escape: a component
+past dynamics.ESCAPE_THRESHOLD, or not finite.  That threshold is a
+constant, so no function here takes it: _py_loop reads it, and _c_loop's
+one ctypes call passes it to _frame.c's threshold argument.  The loop's
+one entry, point_lanes, runs it for k points (lanes) at once:
+orbit_kernel is a one-lane call with n_lyap = 0, lyapunov_kernel one
+with n_record = 0, and sweep._evaluate runs LANES points per call.  It
 refuses a budget below 0 and a run of over 2**63 - 1 steps, which the C
 loop's step counters would wrap.  Its buffer checks sit above the
 backends, so both refuse the same inputs and neither checks again.
@@ -56,8 +59,9 @@ Build: the first kernel or render_rows call, never the import, compiles
 _frame.c with sysconfig's CC (or cc) into the package's __pycache__ (a private
 temporary directory if that is not writable), under a name keyed by the
 SHA-256 of the source, the flags and the machine, and loads it with
-ctypes.  Every successful load, of a new build or a cached one, deletes
-the other _frame-*.so builds beside it.  The build takes about 0.4 to
+ctypes; _load declares render_rows' signature and binds the point loop,
+once per process.  Every successful load, of a new build or a cached
+one, deletes the other _frame-*.so builds beside it.  The build takes about 0.4 to
 0.6 s with gcc 12, once per source.  If there is no compiler,
 or the build or the load fails, the Python backend runs instead: slower,
 same results.  backend() says which.
@@ -84,7 +88,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import MAX_COUNT, jacobian_xy, step_xy
+from .dynamics import ESCAPE_THRESHOLD, MAX_COUNT, jacobian_xy, step_xy
 
 # Stand-in for log(0) when a tangent vector collapses exactly; roughly
 # log of the smallest subnormal double.  Final exponents are floored far
@@ -112,9 +116,9 @@ _COMPILE_TIMEOUT_S = 120
 _NO_WINDOW, _NO_NORMS = np.empty((1, 0, 2)), np.empty((1, 0))
 
 
-def _inside(x, y, threshold):
-    """Not escaped: both components within threshold (False for NaN)."""
-    return abs(x) <= threshold and abs(y) <= threshold
+def _inside(x, y):
+    """Not escaped: both components within ESCAPE_THRESHOLD (False for NaN)."""
+    return abs(x) <= ESCAPE_THRESHOLD and abs(y) <= ESCAPE_THRESHOLD
 
 
 def _log_norms(norms):
@@ -146,7 +150,7 @@ def _ordered(a, b, floor):
 
 
 def _py_loop(
-    r1, r2, c1, c2, c3, c4, x, y, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2
+    r1, r2, c1, c2, c3, c4, x, y, n_transient, n_record, n_lyap, tail, norm1, norm2
 ):
     """The point loop on plain Python floats.
 
@@ -165,7 +169,7 @@ def _py_loop(
     """
     for n in range(1, n_transient + 1):
         xn, yn = step_xy(r1, r2, c1, c2, c3, c4, x, y)
-        if not _inside(xn, yn, threshold):
+        if not _inside(xn, yn):
             return n, x, y
         x, y = xn, yn
 
@@ -190,7 +194,7 @@ def _py_loop(
             norm2[i] = n2 if n2 == n2 else math.nan
 
         xn, yn = step_xy(r1, r2, c1, c2, c3, c4, x, y)
-        if not _inside(xn, yn, threshold):
+        if not _inside(xn, yn):
             return n_transient + i + 1, x, y
         x, y = xn, yn
         if i < n_record:
@@ -220,15 +224,13 @@ def _c_loop(lib, entry=None):
     fn = getattr(lib, entry)
     fn.argtypes = (ll, ptr, dbl, dbl, ll, ll, ll, dbl, ptr, ptr, ptr, ptr, ptr)
     fn.restype = None
-    lib.render_rows.argtypes = (ll, ptr, ctypes.c_char_p, ll, ll, ll, ptr, ll, ptr)
-    lib.render_rows.restype = ll
 
-    def lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
+    def lanes(params, x0, y0, n_transient, n_record, n_lyap, tail, norm1, norm2):
         k = len(params)
         flat = (dbl * (6 * k))(*(v for row in params for v in row))
         last, at_step = (dbl * (2 * k))(), (ll * k)()
         fn(
-            k, flat, x0, y0, n_transient, n_record, n_lyap, threshold,
+            k, flat, x0, y0, n_transient, n_record, n_lyap, ESCAPE_THRESHOLD,
             tail.ctypes.data, norm1.ctypes.data, norm2.ctypes.data, last, at_step,
         )
         return [(at_step[l], last[2 * l], last[2 * l + 1]) for l in range(k)]
@@ -236,10 +238,10 @@ def _c_loop(lib, entry=None):
     return _Backend(lanes, lib, "avx2" if entry == "avx2_blocks" else "scalar")
 
 
-def _py_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
+def _py_lanes(params, x0, y0, n_transient, n_record, n_lyap, tail, norm1, norm2):
     """The compiled lanes' signature and results: one _py_loop call per lane."""
     return [
-        _py_loop(*row, x0, y0, n_transient, n_record, n_lyap, threshold, t, n1, n2)
+        _py_loop(*row, x0, y0, n_transient, n_record, n_lyap, t, n1, n2)
         for row, t, n1, n2 in zip(params, tail, norm1, norm2)
     ]
 
@@ -354,9 +356,15 @@ def _sha256():
 
 
 def _load(path: Path):
+    """Open the library at path, declare render_rows' signature and bind its
+    point loop."""
     import ctypes
 
-    return _c_loop(ctypes.CDLL(str(path)))
+    lib = ctypes.CDLL(str(path))
+    ll, ptr = ctypes.c_longlong, ctypes.c_void_p
+    lib.render_rows.argtypes = (ll, ptr, ctypes.c_char_p, ll, ll, ll, ptr, ll, ptr)
+    lib.render_rows.restype = ll
+    return _c_loop(lib)
 
 
 def _compile(tmp: str, path: Path) -> None:
@@ -462,7 +470,7 @@ def buffer(shape, name: str, count: int) -> np.ndarray:
         return np.empty(shape)
 
 
-def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2):
+def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, tail, norm1, norm2):
     """Run the point loop (see the module docstring) on whichever backend
     runs, for each of k parameter rows (r1, r2, c1, c2, c3, c4), all from
     (x0, y0).  Each lane is bitwise a one-lane call.
@@ -483,7 +491,7 @@ def point_lanes(params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, 
     for buf, row in ((tail, (n_record, 2)), (norm1, (n_lyap,)), (norm2, (n_lyap,))):
         if not (_is_buffer(buf, 1 + len(row)) and buf.shape[1:] == row and len(buf) >= k):
             raise ValueError(f"need >= {k} lane rows of shape {row}, C-contiguous float64, writable")
-    runs = _loop()[0](params, x0, y0, n_transient, n_record, n_lyap, threshold, tail, norm1, norm2)
+    runs = _loop()[0](params, x0, y0, n_transient, n_record, n_lyap, tail, norm1, norm2)
     results = []
     for at_step, x, y in runs:
         # Post-transient index of the escaping step; past both windows if none.
@@ -509,7 +517,7 @@ def lane_exponents(norm1, norm2, n_used, floor):
     return _ordered(*(sums / n_used), floor)
 
 
-def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold, out):
+def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, out):
     """Iterate the map n_total times, recording states after the transient.
 
     out has shape (n_total - n_transient, 2).  Returns
@@ -518,14 +526,14 @@ def orbit_kernel(r1, r2, c1, c2, c3, c4, x0, y0, n_total, n_transient, threshold
     never written to out.
     """
     ((n_rec, _, at_step, _, _),) = point_lanes(
-        [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, n_total - n_transient, 0, threshold,
+        [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, n_total - n_transient, 0,
         out[None], _NO_NORMS, _NO_NORMS,
     )
     return n_rec, at_step > 0, at_step
 
 
 def lyapunov_kernel(
-    r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_iter, threshold, floor, lam1_series, lam2_series
+    r1, r2, c1, c2, c3, c4, x0, y0, n_transient, n_iter, floor, lam1_series, lam2_series
 ):
     """Two-exponent Benettin accumulation: one renormalized tangent vector
     and the area the Jacobian spans over it (see the module docstring).
@@ -537,7 +545,7 @@ def lyapunov_kernel(
     Returns (lambda1, lambda2, n_used, escaped, at_step).
     """
     ((_, n_used, at_step, _, _),) = point_lanes(
-        [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, 0, n_iter, threshold,
+        [(r1, r2, c1, c2, c3, c4)], x0, y0, n_transient, 0, n_iter,
         _NO_WINDOW, lam1_series[None], lam2_series[None],
     )
     if n_used == 0:

@@ -11,11 +11,13 @@ package is built on the three functions defined here.  All operations are
 pure; values are frozen dataclasses.  step and jacobian, like the
 Python point loop, evaluate the formulas of step_xy and jacobian_xy.
 
-The step-budget defaults and minimum, the period tolerance, the
-parameter DOMAIN, the input checks of fields, plain arguments and CLI
-flags, and EscapedTooEarly also live here, because this module needs no
-numpy: the config parser and the CLI take them at import time without
-loading the engine.  orbit, lyapunov and sweep re-export the constants.
+Every engine constant lives here: the escape threshold, the exponent
+floor, the step-budget defaults and minimum and the period tolerance.
+So do the parameter DOMAIN, the input checks of fields, plain arguments
+and CLI flags, and EscapedTooEarly, because this module needs no numpy:
+the config parser and the CLI take them at import time without loading
+the engine, and no engine module imports a sibling for a constant.
+orbit, lyapunov and sweep re-export the constants.
 A check's message starts with the name of the value it checks.
 """
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
     "MIN_STEPS",
     "MAX_COUNT",
     "PERIOD_TOL",
+    "ESCAPE_THRESHOLD",
+    "LAMBDA_FLOOR",
     "EscapedTooEarly",
     "DOMAIN",
     "NON_NEGATIVE",
@@ -76,6 +80,12 @@ MIN_STEPS = 100
 MAX_COUNT = 2**63 - 1
 # Relative tolerance of period detection.
 PERIOD_TOL = 1e-6
+# A state has escaped once either component's magnitude exceeds this (or
+# is not finite): the point loop's one rule besides the map.
+ESCAPE_THRESHOLD = 1e6
+# Reported exponents are floored here; a super-stable orbit (zero
+# eigenvalue somewhere along it) has a true exponent of -inf.
+LAMBDA_FLOOR = -50.0
 
 
 class NonFiniteStepError(ArithmeticError):

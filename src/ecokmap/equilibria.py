@@ -75,13 +75,14 @@ class FixedPoint:
         return abs(self.eigenvalues[0]), abs(self.eigenvalues[1])
 
 
-def _classify(eigs: tuple[complex, complex], tol: float = CLASSIFICATION_TOL) -> Classification:
+def _classify(eigs: tuple[complex, complex]) -> Classification:
     m1, m2 = abs(eigs[0]), abs(eigs[1])
-    if m1 < 1.0 - tol and m2 < 1.0 - tol:
+    lo, hi = 1.0 - CLASSIFICATION_TOL, 1.0 + CLASSIFICATION_TOL
+    if m1 < lo and m2 < lo:
         return Classification.ATTRACTING
-    if m1 > 1.0 + tol and m2 > 1.0 + tol:
+    if m1 > hi and m2 > hi:
         return Classification.REPELLING
-    if (m1 > 1.0 + tol and m2 < 1.0 - tol) or (m2 > 1.0 + tol and m1 < 1.0 - tol):
+    if (m1 > hi and m2 < lo) or (m2 > hi and m1 < lo):
         return Classification.SADDLE
     return Classification.NON_HYPERBOLIC
 

@@ -8,7 +8,9 @@ area the Jacobian spans over q1's quarter turn, measured against the new
 q1: in 2-D that is the norm Gram-Schmidt gives its second vector, which is
 always perpendicular to q1, so no second vector is carried.  The per-step
 means converge to the two exponents; the full running series is kept for
-convergence plots.
+convergence plots.  Reported exponents are floored at LAMBDA_FLOOR,
+dynamics' constant, which this module re-exports: a super-stable orbit
+(zero eigenvalue somewhere along it) has a true exponent of -inf.
 """
 from __future__ import annotations
 
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import DEFAULT_STEPS, DEFAULT_TRANSIENT, MIN_STEPS, SWEEP_STEPS, EscapedTooEarly
-from .dynamics import ModelParams, State, check_count
-from .orbit import ESCAPE_THRESHOLD
+from .dynamics import DEFAULT_STEPS, DEFAULT_TRANSIENT, LAMBDA_FLOOR, MIN_STEPS, SWEEP_STEPS
+from .dynamics import EscapedTooEarly, ModelParams, State, check_count
 
 __all__ = [
     "LyapunovResult",
@@ -32,10 +33,6 @@ __all__ = [
     "DEFAULT_STEPS",
     "SWEEP_STEPS",
 ]
-
-# Reported exponents are floored here; a super-stable orbit (zero
-# eigenvalue somewhere along it) has a true exponent of -inf.
-LAMBDA_FLOOR = -50.0
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ def lyapunov_spectrum(
         p.r1, p.r2, p.c1, p.c2, p.c3, p.c4,
         s0.x, s0.y,
         n_transient, n_iter,
-        ESCAPE_THRESHOLD, LAMBDA_FLOOR,
+        LAMBDA_FLOOR,
         lam1_series, lam2_series,
     )
     if n_used < MIN_STEPS:

@@ -6,7 +6,8 @@ period range, or escaped (any component beyond ESCAPE_THRESHOLD or
 non-finite).  Escape is an outcome, not an error; the record is truncated
 at the step where it was detected and never stores a non-finite state.
 OrbitRecord.columns() gives the tail as the (n, x, y) columns that both the
-CSV writer and the plots take.
+CSV writer and the plots take.  ESCAPE_THRESHOLD is dynamics' constant,
+which the point loop reads itself; this module re-exports it.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dynamics import DEFAULT_RECORD, DEFAULT_TRANSIENT, PERIOD_TOL, ModelParams, State
-from .dynamics import NON_NEGATIVE, check_count, check_float
+from .dynamics import DEFAULT_RECORD, DEFAULT_TRANSIENT, ESCAPE_THRESHOLD, PERIOD_TOL
+from .dynamics import NON_NEGATIVE, ModelParams, State, check_count, check_float
 
 __all__ = [
     "Settled",
@@ -34,7 +35,6 @@ __all__ = [
     "MAX_PERIOD",
 ]
 
-ESCAPE_THRESHOLD = 1e6
 MAX_PERIOD = 64
 
 
@@ -162,7 +162,7 @@ def iterate(
     n_out = n_total - n_transient
     out = _kernels.buffer((n_out, 2), "n_total - n_transient", n_out)
     n_rec, escaped, at_step = _kernels.orbit_kernel(
-        p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_total, n_transient, ESCAPE_THRESHOLD, out
+        p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_total, n_transient, out
     )
     # Without escape all n_total - n_transient >= 1 states were recorded.
     outcome = Escaped(at_step) if escaped else detect_period(out[:n_rec], max_period, period_tol)

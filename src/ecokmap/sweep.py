@@ -19,18 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels, orbit
-from .dynamics import DOMAIN, NON_NEGATIVE, SWEEPABLE_PARAMETERS, ModelParams, State
+from .dynamics import DEFAULT_RECORD, DEFAULT_TRANSIENT, LAMBDA_FLOOR, MIN_STEPS, PERIOD_TOL
+from .dynamics import DOMAIN, NON_NEGATIVE, SWEEP_STEPS, SWEEPABLE_PARAMETERS, ModelParams, State
 from .dynamics import check_at_least, check_axis, check_floats
-from .lyapunov import LAMBDA_FLOOR, MIN_STEPS, SWEEP_STEPS
-from .orbit import (
-    DEFAULT_RECORD,
-    DEFAULT_TRANSIENT,
-    ESCAPE_THRESHOLD,
-    PERIOD_TOL,
-    Escaped,
-    OrbitRecord,
-    outcome_label,
-)
+from .orbit import Escaped, OrbitRecord, outcome_label
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -97,7 +89,7 @@ class SweepResult:
 def _record(spec, tail: np.ndarray, at_step: int, last: tuple[float, float]) -> OrbitRecord:
     """Orbit record of one point: its recorded tail, or its escape outcome."""
     if not 0 < at_step <= spec.n_transient + spec.n_record:
-        outcome = orbit.detect_period(tail, orbit.MAX_PERIOD, spec.period_tol)
+        outcome = orbit.detect_period(tail, period_tol=spec.period_tol)
         return OrbitRecord(spec.s0, spec.n_transient, tail, outcome)
     transient_len = spec.n_transient
     if len(tail) == 0 and at_step > 1:
@@ -122,8 +114,7 @@ def _evaluate(spec, params: list[ModelParams]) -> Iterator[tuple[OrbitRecord, fl
     for start in range(0, len(params), lanes):
         rows = [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4) for p in params[start : start + lanes]]
         runs = _kernels.point_lanes(
-            rows, spec.s0.x, spec.s0.y, spec.n_transient, spec.n_record, spec.n_lyap,
-            ESCAPE_THRESHOLD, tail, *norms,
+            rows, spec.s0.x, spec.s0.y, spec.n_transient, spec.n_record, spec.n_lyap, tail, *norms
         )
         n_used = [n if n >= MIN_STEPS else 0 for _, n, *_ in runs]
         lam1 = _kernels.lane_exponents(*norms, n_used, LAMBDA_FLOOR)[0].tolist()

@@ -30,28 +30,22 @@ def ok(n, detail):
     print(f"\nPASS criterion {n}: {detail}")
 
 
+def reference_sweep(base):
+    """A 241-point r2 sweep over [2.8, 4.0] at the reference budgets."""
+    return ek.bifurcation_sweep(ek.SweepSpec(
+        base=base, parameter="r2", lo=2.8, hi=4.0, n_points=241, s0=S0,
+        n_transient=400, n_record=100, n_lyap=20_000,
+    ))
+
+
 @pytest.fixture(scope="module")
 def fig1_sweeps():
-    out = {}
-    for c2 in (0.1, 0.2, 0.3):
-        spec = ek.SweepSpec(
-            base=replace(REF_BASE, c2=c2), parameter="r2", lo=2.8, hi=4.0,
-            n_points=241, s0=S0, n_transient=400, n_record=100, n_lyap=20_000,
-        )
-        out[c2] = ek.bifurcation_sweep(spec)
-    return out
+    return {c2: reference_sweep(replace(REF_BASE, c2=c2)) for c2 in (0.1, 0.2, 0.3)}
 
 
 @pytest.fixture(scope="module")
 def fig2_sweeps():
-    out = {}
-    for cc in (0.5, 0.6, 0.7):
-        spec = ek.SweepSpec(
-            base=replace(REF_BASE, c2=cc, c3=cc), parameter="r2", lo=2.8, hi=4.0,
-            n_points=241, s0=S0, n_transient=400, n_record=100, n_lyap=20_000,
-        )
-        out[cc] = ek.bifurcation_sweep(spec)
-    return out
+    return {cc: reference_sweep(replace(REF_BASE, c2=cc, c3=cc)) for cc in (0.5, 0.6, 0.7)}
 
 
 def test_criterion_1_jacobian_vs_finite_differences():
@@ -418,6 +412,47 @@ def test_chaos_plane_splits_at_r2_3p9():
         f"(max {max(separated):.1e}) and {chaotic_mirror}/{len(mirror)} mirror cells "
         f"(min {min(mirror):.2f}) with lambda1 > 0.05",
     )
+
+
+# r1 -> whether criteria 5 and 6 hold on the six reference sweeps there.
+R1_BAND = {
+    2.8: (True, False),
+    2.9: (True, True),
+    3.0: (True, True),
+    3.1: (True, True),
+    3.2: (False, True),
+}
+
+
+def test_paper_verdicts_hold_for_r1_near_3():
+    # Every reference experiment uses r1 = 3, where the x factor sits on
+    # its own flip: a special slice.  The six sweeps of criteria 5 and 6,
+    # rerun at nearby r1, show the band where both verdicts hold: "5"
+    # (lambda1 > 0.05 on at most 10% of each fig-1 sweep, none escaped)
+    # and "6" (at least 3 aperiodic points with lambda1 > 0.1 on each
+    # fig-2 sweep).
+    details = []
+    for r1, want in R1_BAND.items():
+        regular = []
+        for c2 in (0.1, 0.2, 0.3):
+            res = reference_sweep(replace(REF_BASE, r1=r1, c2=c2))
+            assert not any(math.isnan(pt.lambda1) for pt in res.points), (r1, c2)
+            regular.append(sum(pt.lambda1 > 0.05 for pt in res.points))
+        chaotic = []
+        for cc in (0.5, 0.6, 0.7):
+            res = reference_sweep(replace(REF_BASE, r1=r1, c2=cc, c3=cc))
+            assert not any(math.isnan(pt.lambda1) for pt in res.points), (r1, cc)
+            chaotic.append(
+                sum(pt.lambda1 > 0.1 and pt.orbit.outcome == Aperiodic() for pt in res.points)
+            )
+        got = (all(n / 241 <= 0.10 for n in regular), all(n >= 3 for n in chaotic))
+        verdicts = ", ".join(f"'{c}' {'holds' if g else 'fails'}" for c, g in zip("56", got))
+        details.append(
+            f"r1={r1}: fig-1 lambda1 > 0.05 on {regular}, "
+            f"fig-2 aperiodic lambda1 > 0.1 on {chaotic}; {verdicts}"
+        )
+        assert got == want, details[-1]
+    ok("r1-band", "; ".join(details))
 
 
 def bitwise_equal_sweeps(a, b):

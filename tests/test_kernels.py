@@ -31,7 +31,7 @@ import ecokmap
 from ecokmap import _kernels
 from ecokmap.dynamics import ModelParams, State, jacobian
 from ecokmap.lyapunov import LAMBDA_FLOOR, MIN_STEPS, lyapunov_spectrum
-from ecokmap.orbit import ESCAPE_THRESHOLD, iterate
+from ecokmap.orbit import iterate
 from ecokmap.sweep import SweepSpec, bifurcation_sweep
 
 SRC = Path(ecokmap.__file__).parents[1]
@@ -68,8 +68,7 @@ def outputs(p, s0, n_tr, n_rec, n_lyap):
     tail = np.full((n_rec, 2), SENTINEL)
     norms = np.full((2, n_lyap), SENTINEL)
     at_step, x, y = _kernels._py_loop(
-        p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, *s0, n_tr, n_rec, n_lyap,
-        ESCAPE_THRESHOLD, tail, *norms,
+        p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, *s0, n_tr, n_rec, n_lyap, tail, *norms
     )
     last = np.array([x, y]).tobytes()
     return at_step, last, tail.tobytes(), norms.tobytes()
@@ -135,7 +134,7 @@ class TestCompiledAgainstPython:
         for p, zero_rows in ((replace(REF, r2=0.0), [1]), (ModelParams(0, 0, 1, 1, 1, 1), [0, 1])):
             norms = np.empty((2, 1, 50))
             ((at_step, *_),) = lanes(
-                [row(p)], 0.2, 0.1, 10, 0, 50, ESCAPE_THRESHOLD, _kernels._NO_WINDOW, *norms
+                [row(p)], 0.2, 0.1, 10, 0, 50, _kernels._NO_WINDOW, *norms
             )
             assert at_step == 0
             for r in zero_rows:
@@ -152,7 +151,7 @@ class TestCompiledAgainstPython:
                 rows = [row(REF)] * k
                 rows[slot] = row(p)
                 norms = np.full((2, k, n), SENTINEL)
-                runs = loop(rows, 0.5, 0.0, 0, 0, n, ESCAPE_THRESHOLD, np.empty((k, 0, 2)), *norms)
+                runs = loop(rows, 0.5, 0.0, 0, 0, n, np.empty((k, 0, 2)), *norms)
                 assert runs[slot] == (0, 0.5, 0.0)
                 assert (norms[0, slot] == 0.0).all() and (norms[1, slot] == 0.5).all()
 
@@ -165,7 +164,7 @@ class TestCompiledAgainstPython:
         n_tr, n = 20, 2000
         norms = np.empty((2, 1, n))
         ((at_step, *_),) = lanes(
-            [row(REF)], 0.2, 0.1, n_tr, 0, n, ESCAPE_THRESHOLD, _kernels._NO_WINDOW, *norms
+            [row(REF)], 0.2, 0.1, n_tr, 0, n, _kernels._NO_WINDOW, *norms
         )
         assert at_step == 0
         tail = iterate(REF, State(0.2, 0.1), n_tr - 1 + n, n_tr - 1).tail
@@ -228,7 +227,7 @@ def lane_outputs(lanes, rows, s0, n_tr, n_rec, n_lyap, spare=2):
     k = len(rows)
     tail = np.full((k + spare, n_rec, 2), SENTINEL)
     norms = np.full((2, k + spare, n_lyap), SENTINEL)
-    runs = lanes(rows, *s0, n_tr, n_rec, n_lyap, ESCAPE_THRESHOLD, tail, *norms)
+    runs = lanes(rows, *s0, n_tr, n_rec, n_lyap, tail, *norms)
     assert (tail[k:] == SENTINEL).all() and (norms[:, k:] == SENTINEL).all()
     return [
         (at_step, np.array([x, y]).tobytes(), tail[lane].tobytes(), norms[:, lane].tobytes())
@@ -289,9 +288,7 @@ class TestLanes:
             tail = np.full((n_tail, self.N_REC, 2), SENTINEL)
             norms = np.full((2, n_norm, self.N_LYAP), SENTINEL)
             with pytest.raises(ValueError, match="lane rows"):
-                _kernels.point_lanes(
-                    rows, 0.2, 0.1, 5, self.N_REC, self.N_LYAP, ESCAPE_THRESHOLD, tail, *norms
-                )
+                _kernels.point_lanes(rows, 0.2, 0.1, 5, self.N_REC, self.N_LYAP, tail, *norms)
             assert (tail == SENTINEL).all() and (norms == SENTINEL).all()
 
     @pytest.mark.parametrize("case", ["float32-tail", "read-only-norms", "wider-norm-rows"])
@@ -308,7 +305,7 @@ class TestLanes:
         norms.flags.writeable = case != "read-only-norms"
         with pytest.raises(ValueError, match="C-contiguous float64"):
             _kernels.point_lanes(
-                [row(REF)] * 3, 0.2, 0.1, 5, self.N_REC, self.N_LYAP, ESCAPE_THRESHOLD, tail, *norms
+                [row(REF)] * 3, 0.2, 0.1, 5, self.N_REC, self.N_LYAP, tail, *norms
             )
         assert (tail == SENTINEL).all() and (norms == SENTINEL).all()
 
@@ -366,9 +363,7 @@ class TestBudgets:
     @staticmethod
     def run(n_tr, n_rec, n_lyap):
         tail, norms = np.empty((1, 10, 2)), np.empty((2, 1, 10))
-        return _kernels.point_lanes(
-            [row(REF)], 0.2, 0.1, n_tr, n_rec, n_lyap, ESCAPE_THRESHOLD, tail, *norms
-        )
+        return _kernels.point_lanes([row(REF)], 0.2, 0.1, n_tr, n_rec, n_lyap, tail, *norms)
 
     @pytest.mark.parametrize(
         "n_tr, n_rec, n_lyap",
@@ -447,16 +442,14 @@ class TestLaneLambda1:
         norms[:, :n]: its backend patched to lanes that write them as an
         n-step run's."""
 
-        def lanes(params, x0, y0, n_tr, n_rec, n_lyap, threshold, tail, norm1, norm2):
+        def lanes(params, x0, y0, n_tr, n_rec, n_lyap, tail, norm1, norm2):
             norm1[0], norm2[0] = norms[:, :n_lyap]
             return [(0, x0, y0)]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernels, "_loop", lambda: _kernels._Backend(lanes))
             s1, s2 = np.empty(n), np.empty(n)
-            lam1, lam2, *_ = _kernels.lyapunov_kernel(
-                *row(REF), 0.2, 0.1, 0, n, ESCAPE_THRESHOLD, cls.FLOOR, s1, s2
-            )
+            lam1, lam2, *_ = _kernels.lyapunov_kernel(*row(REF), 0.2, 0.1, 0, n, cls.FLOOR, s1, s2)
         return lam1, lam2
 
     @pytest.mark.parametrize(
@@ -508,7 +501,7 @@ class TestLaneLambda1:
         norms = np.empty((2, len(points), n_lyap))
         assert {norms[r, lane].ctypes.data % 16 for r in (0, 1) for lane in range(4)} == {0, 8}
         runs = _kernels.point_lanes(
-            [row(p) for p in points], 0.2, 0.1, n_tr, 0, n_lyap, ESCAPE_THRESHOLD,
+            [row(p) for p in points], 0.2, 0.1, n_tr, 0, n_lyap,
             np.empty((len(points), 0, 2)), *norms,
         )
         got = _kernels.lane_exponents(*norms, [n for _, n, *_ in runs], LAMBDA_FLOOR)
@@ -516,7 +509,7 @@ class TestLaneLambda1:
         for p in points:
             s1, s2 = np.empty(n_lyap), np.empty(n_lyap)
             lam1, lam2, *_ = _kernels.lyapunov_kernel(
-                *row(p), 0.2, 0.1, n_tr, n_lyap, ESCAPE_THRESHOLD, LAMBDA_FLOOR, s1, s2
+                *row(p), 0.2, 0.1, n_tr, n_lyap, LAMBDA_FLOOR, s1, s2
             )
             want.append((lam1, lam2))
         assert np.array(got).tobytes() == np.array(want).T.tobytes()

@@ -25,7 +25,7 @@ import hypothesis.strategies as st
 from ecokmap import _kernels, sweep
 from ecokmap.dynamics import ModelParams, State
 from ecokmap.lyapunov import MIN_STEPS, EscapedTooEarly, lyapunov_spectrum
-from ecokmap.orbit import ESCAPE_THRESHOLD, MAX_PERIOD, Escaped, iterate
+from ecokmap.orbit import MAX_PERIOD, Escaped, iterate
 from ecokmap.sweep import SweepSpec, bifurcation_sweep
 
 ESCAPE_S0 = State(0.5, 1e-3)
@@ -154,14 +154,12 @@ class TestAgainstOracle:
         for p in params:
             tail, norms = np.empty((1, 20, 2)), np.empty((2, 1, n_lyap))
             ((_, n_used, *_),) = _kernels.point_lanes(
-                [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)], 0.2, 0.1, n_tr, 20, n_lyap,
-                ESCAPE_THRESHOLD, tail, *norms,
+                [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)], 0.2, 0.1, n_tr, 20, n_lyap, tail, *norms
             )
             assert n_used == n_lyap
             series = np.empty(n_lyap), np.empty(n_lyap)
             want = _kernels.lyapunov_kernel(
-                p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, n_tr, n_lyap,
-                ESCAPE_THRESHOLD, floor, *series,
+                p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, 0.2, 0.1, n_tr, n_lyap, floor, *series
             )[0]
             got.append(_kernels.lane_exponents(*norms, [n_lyap], floor)[0][0])
             assert bits(got[-1]) == bits(want)

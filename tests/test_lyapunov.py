@@ -29,7 +29,7 @@ from ecokmap.lyapunov import (
     lambda_series,
     lyapunov_spectrum,
 )
-from ecokmap.orbit import ESCAPE_THRESHOLD, iterate
+from ecokmap.orbit import iterate
 
 SLOW_ESCAPE = ModelParams(2, 1.05, 1, 0, 4, 0)
 FAST_ESCAPE = ModelParams(2, 1.5, 1, 0, 4, 0)
@@ -286,8 +286,7 @@ def kernel_series(p, s0, n_transient, n_iter, floor):
     """lyapunov_kernel's running (lambda1, lambda2) series and n_used."""
     got1, got2 = np.empty(n_iter), np.empty(n_iter)
     _, _, n_used, _, _ = _kernels.lyapunov_kernel(
-        p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_transient, n_iter,
-        ESCAPE_THRESHOLD, floor, got1, got2,
+        p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_transient, n_iter, floor, got1, got2
     )
     return got1[:n_used], got2[:n_used], n_used
 
@@ -313,8 +312,7 @@ class TestKernelFormulas:
         want1, want2 = benettin_reference(p, s0, n_transient, n_iter, floor)
         got1, got2 = np.empty(n_iter), np.empty(n_iter)
         lam1, lam2, n_used, escaped, _ = _kernels.lyapunov_kernel(
-            p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_transient, n_iter,
-            ESCAPE_THRESHOLD, floor, got1, got2,
+            p.r1, p.r2, p.c1, p.c2, p.c3, p.c4, s0.x, s0.y, n_transient, n_iter, floor, got1, got2
         )
         assert (n_used, escaped) == (n_iter, False)
         assert got1.tobytes() == want1.tobytes()
@@ -376,7 +374,7 @@ def spectrum_and_norms(p, s0, n_transient, n_iter):
     norms = np.empty((2, 1, n_iter))
     _kernels.point_lanes(
         [(p.r1, p.r2, p.c1, p.c2, p.c3, p.c4)], s0.x, s0.y, n_transient, 0, n_iter,
-        ESCAPE_THRESHOLD, np.empty((1, 0, 2)), *norms,
+        np.empty((1, 0, 2)), *norms,
     )
     return r, list(zip(*norms[:, 0, : r.n_used].tolist()))
 

@@ -1,9 +1,10 @@
 """Start-up contract: each CLI process loads only what its command uses.
 
 `import ecokmap` loads no submodule; `import ecokmap.cli`, config parsing,
-usage and config errors and fixed-points load no numpy; the CLI starts
-OpenBLAS with one thread unless the user set a count.  Each check runs in
-a fresh interpreter, since this test process has long loaded numpy.
+usage and config errors and fixed-points load no numpy; every other
+command loads only the engine modules it runs; the CLI starts OpenBLAS
+with one thread unless the user set a count.  Each check runs in a fresh
+interpreter, since this test process has long loaded numpy.
 """
 import json
 import os
@@ -81,6 +82,30 @@ class TestNoNumpyBeforeItIsNeeded:
         assert not got["numpy"]
         if rc == 0:
             assert (config.parent / "out" / "fixed_points.txt").is_file()
+
+
+class TestEachCommandLoadsItsEngine:
+    # Every command with --plot loads these, and the engine modules it runs.
+    COMMON = ("cli", "config", "csvio", "dynamics", "svgplot")
+    ENGINE = {
+        "simulate": ("_kernels", "orbit"),
+        "phase": ("_kernels", "orbit"),
+        "lyapunov": ("_kernels", "lyapunov"),
+        "bifurcate": ("_kernels", "orbit", "sweep"),
+        "chaos-grid": ("_kernels", "orbit", "sweep"),
+    }
+
+    @pytest.mark.parametrize("command", ENGINE)
+    def test_command_loads_only_the_engine_modules_it_runs(self, config, command):
+        # No engine module imports a sibling for a constant: lyapunov
+        # needs no orbit, and the sweeps need no lyapunov.
+        argv = [command, "--config", str(config), "--plot", "--steps", "100"]
+        if command in ("bifurcate", "chaos-grid"):
+            argv += ["--grid", "2"]
+        got = run_fresh(f"from ecokmap.cli import main\nrc = main({argv!r})\n" + LOADED)
+        assert got["rc"] == 0
+        modules = ["ecokmap", *(f"ecokmap.{m}" for m in self.COMMON + self.ENGINE[command])]
+        assert got["ecokmap"] == sorted(modules)
 
 
 THREADS = """
